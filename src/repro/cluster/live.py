@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import threading
 from pathlib import Path
-from typing import Iterator
 
 from repro.cluster.partition import Partitioner
 from repro.cluster.sharded_index import ShardedIndex
@@ -64,6 +63,11 @@ class LiveShardedIndex(ShardedIndex):
         self._check_persisted_layout(num_shards)
         super().__init__(collection, num_shards, partitioner)
         self._adopt_restored_shards()
+        #: Writer-side global statistics, kept in step with ``collection`` by
+        #: the routed mutations below; readers get frozen generations of it.
+        self._live_statistics = LiveStatistics(self.collection)
+        for node in self.collection.nodes.values():
+            self._live_statistics.apply(None, node)
 
     def _check_persisted_layout(self, num_shards: int) -> None:
         """Refuse to open a persisted cluster with the wrong shard count.
@@ -138,13 +142,14 @@ class LiveShardedIndex(ShardedIndex):
     def add_node(self, node: ContextNode) -> None:
         with self._write_lock:
             super().add_node(node)
+            self._live_statistics.apply(None, node)
 
     def update_node(self, node: ContextNode) -> None:
         """Replace a live document's content on whichever shard holds it."""
         with self._write_lock:
             shard_id = self.shard_of(node.node_id)
             self.shards[shard_id].index.update_node(node)
-            self.collection.replace(node)
+            self._live_statistics.apply(self.collection.replace(node), node)
             self._statistics = None
             self._notify_invalidation()
 
@@ -162,7 +167,7 @@ class LiveShardedIndex(ShardedIndex):
                 raise ClusterError(
                     f"node {node_id} assigned to shard {shard_id} but not live there"
                 )
-            self.collection.remove(node_id)
+            self._live_statistics.apply(self.collection.remove(node_id), None)
             del self._assignment[node_id]
             self._statistics = None
             self._notify_invalidation()
@@ -179,22 +184,18 @@ class LiveShardedIndex(ShardedIndex):
 
     @property
     def statistics(self) -> LiveStatistics:
-        """Exact survivor-based global statistics (df summed over shards).
+        """Exact survivor-based global statistics (one generation per mutation).
 
-        Rebuilt under the write lock so the scan cannot interleave with a
-        routed mutation; the resulting object freezes its own document map,
-        so readers keep using it safely after the lock is released.
+        Frozen under the write lock so the copy and the per-shard snapshots
+        cannot interleave with a routed mutation; readers keep using the
+        resulting object safely after the lock is released.
         """
         with self._write_lock:
             if self._statistics is None:
-                self._statistics = LiveStatistics(
-                    self.collection, self._chained_posting_lists
+                self._statistics = self._live_statistics.freeze(
+                    tuple(shard.index.snapshot() for shard in self.shards)
                 )
             return self._statistics
-
-    def _chained_posting_lists(self) -> Iterator:
-        for shard in self.shards:
-            yield from shard.index.posting_lists()
 
     # ----------------------------------------------------------- maintenance
     def flush(self) -> int:

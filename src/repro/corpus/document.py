@@ -118,15 +118,33 @@ class ContextNode:
 
     def unique_tokens(self) -> set[str]:
         """The set of distinct tokens occurring in the node."""
-        return {occ.token for occ in self.occurrences}
+        return set(self._token_positions())
 
     def unique_token_count(self) -> int:
         """``unique_tokens(n)`` from the paper's TF-IDF formulae."""
-        return len(self.unique_tokens())
+        return len(self._token_positions())
 
     def occurrence_count(self, token: str) -> int:
         """``occurs(n, t)``: number of occurrences of ``token`` in this node."""
-        return len(self.positions_of(token))
+        return len(self._token_positions().get(token, ()))
+
+    def token_counts(self) -> tuple[tuple[str, ...], tuple[int, ...]]:
+        """The distinct tokens, sorted, and ``occurs(n, t)`` of each.
+
+        Two parallel tuples (``zip`` them), the compact form of a sorted
+        ``(token, occurs)`` table.  Sorted because float sums over a node's
+        tokens (the TF-IDF norm) must not depend on set order, which follows
+        the per-process hash seed; cached because the norm is recomputed for
+        every statistics generation of a live index while the node itself
+        never changes.
+        """
+        cached = self.__dict__.get("_token_counts_cache")
+        if cached is None:
+            positions = self._token_positions()
+            tokens = tuple(sorted(positions))
+            cached = (tokens, tuple(len(positions[token]) for token in tokens))
+            object.__setattr__(self, "_token_counts_cache", cached)
+        return cached
 
     def positions_of(self, token: str) -> list[Position]:
         """All positions of ``token`` in this node, in document order."""

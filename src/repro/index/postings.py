@@ -25,9 +25,11 @@ be re-checked on demand with :meth:`PostingList.validate`.
 from __future__ import annotations
 
 import bisect
+import operator
 from array import array
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from itertools import islice
+from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.exceptions import IndexError_
 from repro.model.positions import Position, fast_position
@@ -310,12 +312,22 @@ class PostingList:
         """Total number of positions over all entries (O(1) columnar read)."""
         return len(self._offset_deltas)
 
-    def max_positions_per_entry(self) -> int:
-        """``pos_per_entry`` restricted to this list."""
+    def max_positions_per_entry(
+        self, dead: Callable[[int], bool] | None = None
+    ) -> int:
+        """``pos_per_entry`` restricted to this list.
+
+        ``dead`` (a tombstone filter, see
+        :meth:`~repro.segments.tombstones.TombstoneSet.filter_at`) leaves the
+        entries of the node ids it accepts out of the maximum.
+        """
         bounds = self._entry_bounds
-        if len(bounds) < 2:
-            return 0
-        return max(bounds[i + 1] - bounds[i] for i in range(len(bounds) - 1))
+        sizes = map(operator.sub, islice(bounds, 1, None), bounds)
+        if dead is not None:
+            sizes = (
+                size for size, node_id in zip(sizes, self._node_ids) if not dead(node_id)
+            )
+        return max(sizes, default=0)
 
     # ----------------------------------------------------- integrity / sizing
     def validate(self) -> None:

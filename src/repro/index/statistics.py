@@ -146,19 +146,19 @@ class IndexStatistics:
     def node_l2_norm(self, node_id: int) -> float:
         """The L2 norm ``||n||_2`` of the node's TF-IDF vector.
 
-        Summed in sorted token order: ``unique_tokens()`` is a set, whose
-        iteration order follows the per-process string hash seed, and float
-        addition is not associative -- an unsorted sum drifts by an ulp or
-        two between processes, which breaks bit-identical score comparisons
-        between a server and a replaying client.
+        Summed in sorted token order (the node's cached ``token_counts()``
+        table): a set's iteration order follows the per-process string hash
+        seed, and float addition is not associative -- an unsorted sum drifts
+        by an ulp or two between processes, which breaks bit-identical score
+        comparisons between a server and a replaying client.
         """
         node = self._index.collection.get(node_id)
         unique = self.unique_token_count(node_id)
         if unique == 0:
             return 1.0
         total = 0.0
-        for token in sorted(node.unique_tokens()):
-            tf = node.occurrence_count(token) / unique
+        for token, occurs in zip(*node.token_counts()):
+            tf = occurs / unique
             total += (tf * self.idf(token)) ** 2
         return math.sqrt(total) if total > 0 else 1.0
 

@@ -6,15 +6,17 @@ mutable-corpus engine (the Lucene-style segment architecture):
 * :mod:`repro.segments.wal`        -- append-only JSONL write-ahead log with
   batched fsync and torn-tail-tolerant replay;
 * :mod:`repro.segments.memtable`   -- the small mutable head accepting adds,
-  updates and deletes, with a cached immutable columnar view;
+  updates and deletes, with a cached immutable view that encodes a token's
+  posting list on first request;
 * :mod:`repro.segments.sealed`     -- immutable segments built on the
   columnar :class:`~repro.index.postings.PostingList` storage;
 * :mod:`repro.segments.tombstones` -- seqno-stamped logical deletes, applied
   at cursor-merge time with snapshot-consistent visibility;
 * :mod:`repro.segments.manager`    -- memtable + segments + location map +
   snapshot isolation + tiered background compaction;
-* :mod:`repro.segments.stats`      -- exact survivor-based corpus statistics
-  so live scores equal freshly-rebuilt scores;
+* :mod:`repro.segments.stats`      -- exact survivor-based corpus statistics,
+  maintained by per-document deltas, so live scores equal freshly-rebuilt
+  scores;
 * :mod:`repro.segments.live_index` -- the index facade combining all of the
   above with v3 segment-file persistence and manifest-based recovery.
 

@@ -277,24 +277,7 @@ class LiveIndex:
 
     def document_frequency(self, token: str) -> int:
         """Exact ``df(t)`` over surviving documents (tombstones excluded)."""
-        snapshot = self.snapshot()
-        count = 0
-        for segment in snapshot.segments:
-            posting_list = segment.data.lists.get(token)
-            if posting_list is None:
-                continue
-            dead = segment.tombstones.dead_ids(snapshot.seq)
-            if dead:
-                count += sum(
-                    1 for node_id in posting_list.node_ids() if node_id not in dead
-                )
-            else:
-                count += len(posting_list)
-        if snapshot.memview is not None:
-            posting_list = snapshot.memview.lists.get(token)
-            if posting_list is not None:
-                count += len(posting_list)
-        return count
+        return self.statistics.document_frequency(token)
 
     def posting_list(self, token: str):
         """A size view of the logical list (see :class:`SegmentSnapshot`)."""
@@ -309,11 +292,7 @@ class LiveIndex:
         Used by size accounting (``shard-stats``, memory footprint) and the
         complexity parameters; logical reads go through cursors instead.
         """
-        snapshot = self.snapshot()
-        for segment in snapshot.segments:
-            yield from segment.data.lists.values()
-        if snapshot.memview is not None:
-            yield from snapshot.memview.lists.values()
+        return self.snapshot().posting_lists()
 
     def open_cursor(
         self, token: str, factory: CursorFactory | None = None, mode: str = PAPER_MODE
@@ -330,17 +309,15 @@ class LiveIndex:
 
     @property
     def statistics(self) -> LiveStatistics:
-        """Exact survivor-based corpus statistics (rebuilt per generation)."""
+        """Exact survivor-based corpus statistics (one frozen generation per
+        mutation generation, cut from the maintained tables on first use)."""
         with self._manager.lock:
             if self._statistics is None or self._stats_seq != self._manager.seq:
-                self._statistics = LiveStatistics(
-                    self.collection, self._physical_posting_lists
+                self._statistics = self._manager.statistics.freeze(
+                    (self._manager.snapshot(),)
                 )
                 self._stats_seq = self._manager.seq
             return self._statistics
-
-    def _physical_posting_lists(self) -> Iterator:
-        return self.posting_lists()
 
     def memory_footprint(self) -> dict[str, int]:
         """Columnar byte sizes summed over every segment plus the memtable."""

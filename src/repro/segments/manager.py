@@ -12,7 +12,7 @@ memtable) for O(1) routing of updates and deletes.
   with the operation sequence number, and an update additionally inserts
   the new revision into the memtable.
 * **Reads** go through :meth:`SegmentManager.snapshot`: a snapshot pins the
-  segment list, the memtable's frozen columnar view and the sequence number,
+  segment list, the memtable's frozen read view and the sequence number,
   so one query sees one consistent state for its whole execution no matter
   what writers do meanwhile.
 * **Compaction** merges small segments tier-by-tier (sizes are grouped by
@@ -46,6 +46,7 @@ from repro.index.inverted_index import ANY_TOKEN
 from repro.index.postings import EmptyPostingList, PostingList
 from repro.segments.memtable import MemTable
 from repro.segments.sealed import SealedSegment, SegmentData
+from repro.segments.stats import LiveStatistics
 from repro.telemetry import instruments
 
 #: Location-map marker for "currently in the memtable".
@@ -213,6 +214,23 @@ class SegmentSnapshot:
     def any_list(self) -> _ListSizeView:
         return self.posting_list(ANY_TOKEN)
 
+    def posting_lists(self) -> Iterator[PostingList]:
+        """The *physical* per-segment posting lists (tombstones included)."""
+        for segment in self.segments:
+            yield from segment.data.lists.values()
+        if self.memview is not None:
+            yield from self.memview.lists.values()
+
+    def max_occurrences(self, token: str) -> int:
+        """Largest ``occurs(n, token)`` over the nodes this snapshot sees."""
+        return max(
+            (
+                posting_list.max_positions_per_entry(dead)
+                for posting_list, dead in self._token_parts(token)
+            ),
+            default=0,
+        )
+
     def node_ids(self) -> list[int]:
         """All visible node ids, ascending (computed once per snapshot)."""
         if self._node_ids is None:
@@ -282,6 +300,9 @@ class SegmentManager:
         self.flush_threshold = flush_threshold
         self.compaction_fanout = compaction_fanout
         self.collection = collection if collection is not None else Collection({}, "live")
+        #: Writer-side survivor statistics, kept in step with ``collection``
+        #: by every mutation below; readers get frozen generations of it.
+        self.statistics = LiveStatistics(self.collection)
         self._memtable = MemTable()
         self._segments: list[SealedSegment] = []
         self._by_generation: dict[int, SealedSegment] = {}
@@ -352,6 +373,7 @@ class SegmentManager:
         self._by_generation[segment.generation] = segment
         for node in nodes:
             self._locations[node.node_id] = segment.generation
+            self.statistics.apply(None, node)
             if node.node_id > self._max_assigned_id:
                 self._max_assigned_id = node.node_id
         self.flush_count += 1
@@ -385,7 +407,9 @@ class SegmentManager:
                             f"node {node_id} is live in two restored segments"
                         )
                     self._locations[node_id] = segment.generation
-                    self.collection.add(segment.data.docs[node_id])
+                    node = segment.data.docs[node_id]
+                    self.collection.add(node)
+                    self.statistics.apply(None, node)
             self._max_assigned_id = highest
             self._report_tiers()
 
@@ -430,6 +454,7 @@ class SegmentManager:
             self._memtable.add(node)
             self._locations[node.node_id] = MEMTABLE_LOCATION
             self.collection.add(node)
+            self.statistics.apply(None, node)
             if node.node_id > self._max_assigned_id:
                 self._max_assigned_id = node.node_id
             self._report_memtable()
@@ -452,7 +477,7 @@ class SegmentManager:
                 )
                 self._memtable.add(node)
                 self._locations[node.node_id] = MEMTABLE_LOCATION
-            self.collection.replace(node)
+            self.statistics.apply(self.collection.replace(node), node)
             self._report_memtable()
             self._maybe_flush()
 
@@ -468,7 +493,7 @@ class SegmentManager:
             else:
                 self._by_generation[location].tombstones.mark(node_id, self._seq)
             del self._locations[node_id]
-            self.collection.remove(node_id)
+            self.statistics.apply(self.collection.remove(node_id), None)
             self._report_memtable()
             return True
 
@@ -480,14 +505,15 @@ class SegmentManager:
     def flush(self) -> SealedSegment | None:
         """Seal the memtable into a new immutable segment (None if empty)."""
         with self.lock:
-            view = self._memtable.frozen_view()
-            if view is None:
+            if not self._memtable:
                 return None
             self._next_generation += 1
-            segment = SealedSegment(self._next_generation, view)
+            segment = SealedSegment.from_nodes(
+                self._next_generation, self._memtable.documents()
+            )
             self._segments.append(segment)
             self._by_generation[segment.generation] = segment
-            for node_id in view.node_ids():
+            for node_id in segment.data.node_ids():
                 self._locations[node_id] = segment.generation
             self._memtable.clear()
             self.flush_count += 1

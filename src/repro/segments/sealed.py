@@ -4,8 +4,9 @@ A :class:`SegmentData` is the frozen columnar view of a set of documents:
 one :class:`~repro.index.postings.PostingList` per token plus the segment's
 ``IL_ANY`` slice, built in one ascending-id pass exactly like
 :class:`~repro.index.inverted_index.InvertedIndex` builds its lists.  It is
-used both as the memtable's frozen read view and as the payload of a
-:class:`SealedSegment`.
+the payload of a :class:`SealedSegment`; the memtable's read view
+(:class:`~repro.segments.memtable.MemTableView`) offers the same surface
+but encodes its lists on request.
 
 A :class:`SealedSegment` adds the segment identity (its *generation*, a
 monotonically increasing id assigned at seal time) and the segment's
@@ -104,41 +105,47 @@ class SegmentData:
 
 
 class _LazyListMap:
-    """A read-only ``{token: PostingList}`` view over a packed segment."""
+    """A read-only ``{token: PostingList}`` view that builds lists on request.
 
-    __slots__ = ("_reader", "_tokens")
+    The source -- a packed segment reader, a frozen memtable view -- answers
+    ``posting_list(token)`` (``None`` when absent) and ``tokens()``.
+    """
 
-    def __init__(self, reader: PackedSegmentReader) -> None:
-        self._reader = reader
-        self._tokens = reader.tokens()
+    __slots__ = ("_source",)
+
+    def __init__(self, source) -> None:
+        self._source = source
 
     def get(self, token: str, default=None):
-        found = self._reader.posting_list(token)
+        found = self._source.posting_list(token)
         return default if found is None else found
 
     def __getitem__(self, token: str) -> PostingList:
-        found = self._reader.posting_list(token)
+        found = self._source.posting_list(token)
         if found is None:
             raise KeyError(token)
         return found
 
     def __contains__(self, token: object) -> bool:
-        return self._reader.posting_list(token) is not None
+        return self._source.posting_list(token) is not None
 
     def __len__(self) -> int:
-        return len(self._tokens)
+        return len(self._source.tokens())
 
     def __iter__(self) -> Iterator[str]:
-        return iter(self._tokens)
+        return iter(self._source.tokens())
 
     def keys(self):
-        return list(self._tokens)
+        return list(self._source.tokens())
 
     def values(self):
-        return [self._reader.posting_list(token) for token in self._tokens]
+        return [self._source.posting_list(token) for token in self._source.tokens()]
 
     def items(self):
-        return [(token, self._reader.posting_list(token)) for token in self._tokens]
+        return [
+            (token, self._source.posting_list(token))
+            for token in self._source.tokens()
+        ]
 
 
 class PackedSegmentData(SegmentData):

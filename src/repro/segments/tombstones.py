@@ -66,7 +66,10 @@ class TombstoneSet:
         """All dead node ids (restricted to a snapshot when ``as_of`` given)."""
         if as_of is None:
             return set(self._dead)
-        return {node_id for node_id, seq in self._dead.items() if seq <= as_of}
+        # Snapshot readers call this without the write lock: iterate over an
+        # atomic copy, or a concurrent mark() aborts the loop ("dictionary
+        # changed size during iteration").
+        return {node_id for node_id, seq in list(self._dead.items()) if seq <= as_of}
 
     def items(self) -> Iterator[tuple[int, int]]:
         return iter(self._dead.items())

@@ -48,6 +48,22 @@ def test_unique_token_count(node):
     assert node.unique_token_count() == 5
 
 
+def test_unique_tokens_is_a_fresh_set(node):
+    tokens = node.unique_tokens()
+    assert tokens == {"usability", "of", "a", "software", "measures"}
+    tokens.clear()  # callers may mutate what they get
+    assert node.unique_token_count() == 5 and len(node.unique_tokens()) == 5
+
+
+def test_token_counts_is_sorted_and_matches_occurrence_counts(node):
+    tokens, counts = node.token_counts()
+    assert tokens == ("a", "measures", "of", "software", "usability")
+    assert counts == (1, 1, 2, 2, 2)
+    assert counts == tuple(node.occurrence_count(token) for token in tokens)
+    assert node.token_counts() is node.token_counts()  # cached per node
+    assert ContextNode(3, ()).token_counts() == ((), ())
+
+
 def test_term_frequency_uses_unique_token_normalisation(node):
     assert node.term_frequency("software") == pytest.approx(2 / 5)
     assert node.term_frequency("missing") == 0.0

@@ -1,4 +1,4 @@
-"""Benchmark: packed mmap segments and multi-process scatter vs threads.
+"""Benchmark: packed mmap segments and multi-process vs in-process scatter.
 
 Two measurements on the 12k-node synthetic corpus:
 
@@ -9,10 +9,11 @@ Two measurements on the 12k-node synthetic corpus:
    Reported: wall-clock load time, resident-memory delta and the packed
    file size -- the packed path must not deserialise the payload.
 
-2. **Scatter throughput** -- ``ScatterGatherExecutor`` with the thread pool
-   vs ``workers="process"`` running the same no-cache batched BOOL workload
-   at several shard counts.  Thread workers share one GIL, so per-shard
-   evaluation serialises; process workers evaluate truly in parallel
+2. **Scatter throughput** -- ``ScatterGatherExecutor`` with
+   ``workers="thread"`` (shards evaluated one after another in the calling
+   thread) vs ``workers="process"`` running the same no-cache batched BOOL
+   workload at several shard counts.  One process has one GIL, so per-shard
+   evaluation is serial; process workers evaluate truly in parallel
    against mmap'd spill files (pages shared via the OS cache) and ship back
    only exact best-k prefixes.  Expect the process pool to win at >= 4
    shards on a multi-core host; on a single-core host it can only lose
@@ -20,7 +21,7 @@ Two measurements on the 12k-node synthetic corpus:
    ``cpus`` line.
 
 Every process-pool result is verified byte-identical (ids, scores, order)
-to the thread-pool result before a row is reported -- the benchmark doubles
+to the in-process result before a row is reported -- the benchmark doubles
 as an equivalence check at benchmark scale, like ``bench_topk.py``.
 
 Run as a script::
@@ -234,10 +235,10 @@ def main() -> None:
             f"{row['process_ms']:>10.2f}ms {row['speedup']:>8.2f}x"
         )
     print(
-        "\nthread    = ThreadPoolExecutor scatter (GIL-serialised per-shard "
-        "evaluation);\nprocess   = ProcessPoolExecutor over mmap'd packed "
+        "\nthread    = shards evaluated one after another in the calling "
+        "thread;\nprocess   = ProcessPoolExecutor over mmap'd packed "
         "spill files (results\n            verified byte-identical to the "
-        "thread path before reporting).\nspeedup > 1 needs real cores: on a "
+        "in-process path before reporting).\nspeedup > 1 needs real cores: on a "
         "single-cpu host the process pool pays\nIPC on top of the same "
         "serial compute and can only report < 1."
     )

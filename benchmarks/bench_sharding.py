@@ -6,7 +6,7 @@ the synthetic corpus, single-index vs sharded at several shard counts, and
 reports three things per shard count:
 
 * **cold** -- scatter-gather with an empty result cache.  The gap to the
-  single index is the pure sharding overhead (thread fan-out + heap merge);
+  single index is the pure sharding overhead (N small evaluations + one merge);
   per-query results are verified identical to the single-index answers.
 * **warm** -- the same batch again with the cache populated.  Repeated query
   shapes are served straight from the LRU cache; this is where the batched
@@ -95,10 +95,10 @@ def run(
     rows: list[dict[str, object]] = []
     for shards in shard_counts:
         # Two engines per shard count: one cache-less (to isolate the
-        # scatter + heap-merge overhead; a plain InvertedIndex at one shard,
+        # scatter + merge overhead; a plain InvertedIndex at one shard,
         # i.e. the true single-index baseline), one cached (the serving
         # path; always a cluster, since the result cache lives there --
-        # at one shard it runs through the sequential fallback).
+        # at one shard it is a one-shard cluster).
         sharded = ShardedIndex(collection, shards)
         nocache = FullTextEngine(
             sharded if shards > 1 else InvertedIndex(collection),
@@ -193,7 +193,7 @@ def main() -> None:
         )
     print(
         "\nnocache = scatter-gather with caching disabled, every query "
-        "evaluated\n          (the gap to single is the pure fan-out + heap-"
+        "evaluated\n          (the gap to single is the pure scatter + "
         "merge overhead);\n1st     = first pass with the LRU cache on "
         "(repeats inside the batch\n          are served from cache);\nwarm "
         "    = the same batch again, fully cache-resident -- the serving-"

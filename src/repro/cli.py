@@ -117,9 +117,9 @@ def _add_sharding_arguments(command: argparse.ArgumentParser) -> None:
         "--workers",
         default="thread",
         choices=["thread", "process"],
-        help="scatter worker pool: 'thread' (default, shared memory) or "
-        "'process' (one process per shard over mmap'd packed segments; "
-        "escapes the GIL, static indexes only)",
+        help="where shards run: 'thread' (default) = one after another in "
+        "the calling thread; 'process' = one worker process per shard over "
+        "mmap'd packed segments (escapes the GIL, static indexes only)",
     )
 
 

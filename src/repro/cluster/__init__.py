@@ -1,4 +1,4 @@
-"""Sharded indexing and concurrent scatter-gather query execution.
+"""Sharded indexing and scatter-gather query execution.
 
 This package scales the single-index engine stack horizontally while keeping
 the paper's semantics and scores bit-identical:
@@ -10,10 +10,10 @@ the paper's semantics and scores bit-identical:
   notifications;
 * :mod:`repro.cluster.stats`         -- globally-aggregated df / N / norm
   statistics so sharded scoring equals single-index scoring;
-* :mod:`repro.cluster.scatter`       -- the worker-pool scatter-gather
-  executor (sequential fallback for one shard);
-* :mod:`repro.cluster.merge`         -- heap-based k-way merging of per-shard
-  id streams and rankings;
+* :mod:`repro.cluster.scatter`       -- the scatter-gather executor: shards
+  evaluated in the calling thread, or in worker processes;
+* :mod:`repro.cluster.merge`         -- merging of the sorted per-shard id
+  streams and rankings;
 * :mod:`repro.cluster.cache`         -- the LRU result cache keyed on
   normalized plan + access mode + scoring, serving smaller top-k requests
   from a warm wider entry (exact rankings are prefixes of each other);

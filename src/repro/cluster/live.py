@@ -5,9 +5,9 @@ subsystem: every shard runs its own
 :class:`~repro.segments.live_index.LiveIndex` (private WAL, memtable,
 sealed segments and compaction), and the cluster facade routes writes --
 adds through the partitioner, updates and deletes through the global
-``node_id -> shard`` assignment -- while the scatter-gather executor keeps
-fanning queries out per shard unchanged (each shard executor snapshots its
-shard per query).
+``node_id -> shard`` assignment -- while the scatter-gather executor
+evaluates queries shard by shard in the calling thread, unchanged (each
+shard executor snapshots its shard per query).
 
 Cache invalidation is *generation-keyed* instead of wholesale: the index
 carries a mutation generation that changes exactly when results may change

@@ -5,12 +5,15 @@ semantics are per-node, the global answer to any BOOL / PPRED / NPRED / COMP
 query is simply the disjoint union of the per-shard answers.  What this
 module adds on top of the union is *ordering*:
 
-* matching node ids are k-way merged from the shards' ascending id streams
-  (``heapq.merge``), reproducing the single-index engines' output order;
-* ranked results are k-way merged from the shards' already-ranked streams by
+* matching node ids are merged from the shards' ascending id streams,
+  reproducing the single-index engines' output order;
+* ranked results are merged from the shards' already-ranked streams by
   ``(-score, node_id)`` -- the tie-break every scoring backend in
-  :mod:`repro.scoring` uses -- with an optional ``top_k`` cut-off that stops
-  the merge after ``k`` items instead of materialising the full ranking.
+  :mod:`repro.scoring` uses -- with an optional ``top_k`` cut-off that looks
+  at each shard's best ``k`` only instead of materialising the full ranking.
+
+Both merges sort the concatenated streams: timsort merges a handful of
+sorted runs in C, where ``heapq.merge`` drives a Python generator per item.
 
 Scores need no adjustment here: the shard executors score against the
 globally-aggregated statistics (:mod:`repro.cluster.stats`), so per-shard
@@ -19,8 +22,9 @@ scores already *are* global scores.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import itemgetter
 
 from repro.engine.executor import EvaluationResult
 from repro.engine.topk import check_top_k
@@ -62,29 +66,25 @@ def merge_cursor_stats(per_shard: "list[CursorStats | None]") -> CursorStats | N
 def merge_ranked(
     ranked_streams: "list[list[tuple[int, float]]]", top_k: int | None = None
 ) -> list[tuple[int, float]]:
-    """Heap-based k-way merge of per-shard rankings.
+    """Merge per-shard rankings into one, ordered by ``(-score, node_id)``.
 
-    Each input stream must already be sorted by ``(-score, node_id)`` (the
-    contract of :meth:`EvaluationResult.ranked`).  With ``top_k`` the merge
-    stops after ``k`` items, so the cost is ``O(k log s)`` instead of
-    ``O(n log s)`` -- the scatter-gather path's answer to top-k queries.
+    Each input stream must already be sorted that way (the contract of
+    :meth:`EvaluationResult.ranked`).  With ``top_k`` only each stream's
+    first ``k`` pairs can reach the global top ``k``, so the cost does not
+    depend on the streams' length.
 
     ``top_k`` must be ``None`` or ``>= 1`` -- the same validation every
     other entry point applies (a non-positive ``k`` used to return an empty
     ranking here while the single-index slice treated it differently).
     """
     check_top_k(top_k)
-    merged = heapq.merge(
-        *ranked_streams, key=lambda pair: (-pair[1], pair[0])
-    )
-    if top_k is None:
-        return list(merged)
-    out = []
-    for pair in merged:
-        out.append(pair)
-        if len(out) >= top_k:
-            break
-    return out
+    # A ``[:None]`` slice is the whole stream.
+    merged = list(chain.from_iterable(stream[:top_k] for stream in ranked_streams))
+    # (-score, node_id) as two stable passes with C-level keys: a reverse
+    # sort keeps equal scores in the ascending id order of the first pass.
+    merged.sort(key=itemgetter(0))
+    merged.sort(key=itemgetter(1), reverse=True)
+    return merged[:top_k]
 
 
 def merge_shard_results(
@@ -96,12 +96,11 @@ def merge_shard_results(
 
     ``per_shard`` must be in shard order (the scatter layer guarantees it),
     which keeps the merge deterministic.  ``elapsed_seconds`` is the
-    scatter-gather wall clock, not the sum of shard times -- with a worker
-    pool the shards overlap.
+    scatter-gather wall clock as the caller measured it.
     """
     if not per_shard:
         raise ValueError("cannot merge zero shard results")
-    node_ids = list(heapq.merge(*(result.node_ids for result in per_shard)))
+    node_ids = sorted(chain.from_iterable(result.node_ids for result in per_shard))
     scores: dict[int, float] = {}
     for result in per_shard:
         scores.update(result.scores)

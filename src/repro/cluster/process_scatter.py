@@ -1,7 +1,7 @@
 """Worker-process machinery behind ``ScatterGatherExecutor(workers="process")``.
 
-The thread-pool scatter path is GIL-bound: per-shard evaluation is pure
-Python, so threads interleave instead of running in parallel.  This module
+In-process scatter is GIL-bound: per-shard evaluation is pure Python, so
+the shards run one after another in the calling thread.  This module
 supplies the pieces that let the scatter executor fan out to *processes*
 instead:
 
@@ -12,7 +12,7 @@ instead:
   summation iterates a ``set`` of token strings, whose order depends on the
   per-process string hash seed, so recomputing them in a worker could
   differ in the last ULP.  Shipping the parent's values keeps worker scores
-  bit-identical to the thread path.
+  bit-identical to the in-process path.
 * :class:`_WorkerStatistics` -- an :class:`~repro.index.statistics.IndexStatistics`
   stand-in built from a frozen snapshot plus the worker's lazy shard
   collection; every scoring read (df, idf, norms, bounds) comes from the

@@ -1,24 +1,26 @@
-"""Concurrent scatter-gather query execution over a sharded index.
+"""Scatter-gather query execution over a sharded index.
 
 :class:`ScatterGatherExecutor` is the cluster-side counterpart of
 :class:`~repro.engine.executor.Executor`: it owns one shard-local executor
-per shard (each scoring against the globally-aggregated statistics, so
-per-shard scores *are* global scores), fans a parsed query out to every
-shard through a :class:`~concurrent.futures.ThreadPoolExecutor`, gathers the
-per-shard results in shard order -- which keeps the merge deterministic --
-and combines them with the heap merge of :mod:`repro.cluster.merge`.
+per shard (all scoring with one model bound to the globally-aggregated
+statistics, so per-shard scores *are* global scores), decides the facts of
+the *query* -- language class, engine, physical plan -- once, evaluates it
+on every shard in shard order -- which keeps the merge deterministic -- and
+combines the per-shard results with :mod:`repro.cluster.merge`.
 
-Single-shard clusters (and ``max_workers=1``) skip the pool entirely and run
-sequentially; the results are identical either way.
+With ``workers="thread"`` (the default) one code path serves 1 and N shards:
+they are evaluated one after another in the calling thread, because
+per-shard evaluation is pure Python and threads would only take turns on
+the GIL.
 
 With ``workers="process"`` the fan-out escapes the GIL: each shard is
-spilled once to a packed v4 segment file
-(:mod:`repro.index.packed`), and a persistent
-:class:`~concurrent.futures.ProcessPoolExecutor` of workers serves queries
+spilled once to a packed v4 segment file (:mod:`repro.index.packed`), and a
+persistent :class:`~concurrent.futures.ProcessPoolExecutor` of
+``max_workers`` workers (default: one per shard) serves queries
 against mmap'd, zero-copy views of those files -- the spill pages are
 shared read-only across all workers through the OS page cache, and each
 worker ships back only its exact best-k prefix.  Scores stay bit-identical
-to the thread path because the aggregated statistics (including every
+to the in-process path because the aggregated statistics (including every
 TF-IDF norm) are computed once in the parent and shipped to the workers
 (:mod:`repro.cluster.process_scatter`).  Process mode requires a *static*
 sharded index (no live generation) and a registered scoring name;
@@ -35,11 +37,11 @@ updates of the sharded index.
 
 ``top_k`` is forwarded to every shard executor, so each shard runs the
 score-bounded pushdown of :mod:`repro.engine.topk` and ships back only its
-own exact top-``k`` prefix; the k-way merge then needs ``O(k log s)`` work.
+own exact top-``k`` prefix, so the merge sorts at most ``k * s`` pairs.
 
-One executor serves one caller at a time (the worker pool parallelises
-*shards*, not client sessions); wrap it in its own lock if several threads
-must share it.
+One executor serves one caller at a time (the shard executors and their
+scoring model carry per-query state); wrap it in its own lock if several
+threads must share it.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ import signal
 import tempfile
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Sequence
 
@@ -64,7 +66,7 @@ from repro.cluster.process_scatter import (
     run_shard_batch,
 )
 from repro.cluster.sharded_index import ShardedIndex
-from repro.engine.executor import AUTO, NATIVE_ENGINE, EvaluationResult, Executor
+from repro.engine.executor import AUTO, EvaluationResult, Executor, resolve_engine
 from repro.engine.topk import check_top_k
 from repro.exceptions import ClusterError
 from repro.index.cursor import PAPER_MODE, check_access_mode
@@ -83,7 +85,7 @@ from repro.planner.physical import BOUND_HEAP, PhysicalPlan
 from repro.scoring.base import ScoringModel, available_models, get_model
 from repro.telemetry import instruments
 
-#: Worker-pool flavours of the scatter stage.
+#: Where shards are evaluated: in the calling thread, or in worker processes.
 WORKER_MODES = ("thread", "process")
 
 
@@ -151,7 +153,11 @@ def _unregister_spool(path: Path) -> None:
 
 
 class ScatterGatherExecutor:
-    """Fan queries out to index shards; gather, merge and cache the results."""
+    """Evaluate queries on every index shard; merge and cache the results.
+
+    ``workers="thread"`` runs the shards in the calling thread;
+    ``max_workers`` sizes the ``workers="process"`` pool only.
+    """
 
     def __init__(
         self,
@@ -189,18 +195,18 @@ class ScatterGatherExecutor:
             if self.optimizer != OPTIMIZER_OFF
             else None
         )
+        model = self._make_model()
         self._shard_executors = [
             Executor(
                 shard.index,
                 self.registry,
-                self._make_shard_model(),
+                model,
                 npred_orders=npred_orders,
                 access_mode=self.access_mode,
                 optimizer=OPTIMIZER_OFF,
             )
             for shard in sharded_index.shards
         ]
-        self._pool: ThreadPoolExecutor | None = None
         self.cache = QueryCache(cache_size) if cache_size else None
         # Two invalidation regimes: a static sharded index has no data
         # version, so the cache is flushed wholesale on every mutation; a
@@ -212,7 +218,7 @@ class ScatterGatherExecutor:
         if self.cache is not None and not self._generation_keyed:
             sharded_index.add_invalidation_listener(self.cache.invalidate)
             self._cache_listener_registered = True
-        # An incremental append changes the global df/N, so the shard models
+        # An incremental append changes the global df/N, so the scoring model
         # must re-bind to the recomputed statistics before the next query.
         self._scoring_stale = False
         if self._scoring_spec is not None:
@@ -239,7 +245,8 @@ class ScatterGatherExecutor:
                 raise ClusterError(
                     "workers='process' requires a static sharded index: live "
                     "(mutable) shards change under the spilled segment files; "
-                    "use the thread pool for live indexes"
+                    "use workers='thread' (shards evaluated in the calling "
+                    "thread) for live indexes"
                 )
             if (
                 self._scoring_spec is not None
@@ -262,7 +269,7 @@ class ScatterGatherExecutor:
 
     @property
     def scoring(self) -> ScoringModel | None:
-        """A representative scoring model (shard 0's, bound to global stats)."""
+        """The scoring model every shard shares (bound to global statistics)."""
         return self._shard_executors[0].scoring if self._shard_executors else None
 
     def execute(
@@ -283,7 +290,7 @@ class ScatterGatherExecutor:
         ``explain=True`` bypasses the result cache entirely -- a cache hit
         carries no fresh per-cursor counts -- and returns a merged result
         whose ``explain`` payload wraps one subtree per shard.  ``trace``
-        receives one span per shard task.  Results stay bit-identical.
+        receives one span per shard evaluation.  Results stay bit-identical.
         """
         check_top_k(top_k)
         if not explain:
@@ -327,12 +334,15 @@ class ScatterGatherExecutor:
     def _plan_for(
         self, query: ast.QueryNode, engine: str, top_k: int | None
     ) -> PhysicalPlan | None:
-        """Plan once at the coordinator; the plan ships to every shard.
+        """Classify, pick the engine and plan once; the plan ships to every shard.
 
         The planner costs over the cluster's *aggregated* statistics, so the
         choices reflect global document frequencies -- and because every
         shard executes the same artifact, choices cannot diverge between
         shards (the sharded/unsharded bit-identity invariant stays cheap).
+        The plan carries the query's class and the validated engine, so a
+        misused forced engine raises here and no shard walks the AST again;
+        with no plan (``optimizer="off"``, COMP) each shard resolves them.
         """
         if self.planner is None:
             return None
@@ -342,9 +352,7 @@ class ScatterGatherExecutor:
                 self._planner_df, feedback=self.planner.feedback
             )
         language_class = classify_query(query, self.registry)
-        engine_name = (
-            NATIVE_ENGINE[language_class] if engine == AUTO else engine.lower()
-        )
+        engine_name = resolve_engine(language_class, engine)
         if engine_name == "comp":
             return None
         plan = self.planner.plan(
@@ -453,13 +461,13 @@ class ScatterGatherExecutor:
         engine: str = AUTO,
         top_k: int | None = None,
     ) -> list[MergedEvaluationResult]:
-        """Evaluate a batch, fanning the *whole batch* out per shard.
+        """Evaluate a batch, handing the *whole batch* to each shard in turn.
 
-        Each shard worker runs :meth:`Executor.execute_many` over every
+        Each shard runs :meth:`Executor.execute_many` over every
         not-yet-cached query, so the shard-local plan cache and cursor
         factory are amortised across the batch exactly as in the single-index
-        path, and the shards overlap for the full batch duration instead of
-        meeting at a barrier after every query.
+        path (and, with ``workers="process"``, the shards overlap for the full
+        batch duration instead of meeting at a barrier after every query).
 
         When the cache is enabled, duplicated queries inside one batch are
         also evaluated only once (they would hit the cache on a second call
@@ -501,9 +509,10 @@ class ScatterGatherExecutor:
             for offset, position in enumerate(pending):
                 per_shard = [shard_batch[offset] for shard_batch in per_shard_batches]
                 self._fold_feedback(batch_plans[offset], per_shard)
-                # With a pool the shards overlap, so the best wall-clock
-                # estimate for one query is the slowest shard, not the sum.
-                elapsed = max(result.elapsed_seconds for result in per_shard)
+                # Worker processes overlap, so one query took as long as its
+                # slowest shard; in-process shards run back to back.
+                combine = max if self.workers == "process" else sum
+                elapsed = combine(result.elapsed_seconds for result in per_shard)
                 merged = merge_shard_results(per_shard, elapsed, top_k)
                 if self.cache is None:
                     answers[position] = merged
@@ -557,15 +566,12 @@ class ScatterGatherExecutor:
         self._spool_bytes_reported = current
 
     def close(self) -> None:
-        """Shut the worker pool down and deregister listeners (idempotent).
+        """Shut the process pool down and deregister listeners (idempotent).
 
         Deregistering matters when one long-lived :class:`ShardedIndex` is
         served by successive executors: a closed executor must not keep
         receiving (and being kept alive by) invalidation notifications.
         """
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
         self._teardown_process_pool()
         if self._spool_owned and self._spool_root is not None:
             _unregister_spool(self._spool_root)
@@ -596,41 +602,24 @@ class ScatterGatherExecutor:
 
     # ------------------------------------------------------------- internals
     def _scatter(self, task, trace=None) -> list:
-        """Run ``task(shard_executor)`` on every shard; results in shard order.
+        """Run ``task(shard_executor)`` on each shard in turn, in this thread.
 
-        With a ``trace`` each shard task runs inside its own
-        ``scatter.shard`` span (opened in the worker thread, so the span
-        wall clock is the task itself, not the gather wait).
+        Results come back in shard order; a shard that raises ends the
+        scatter there, with nothing left running behind the caller.  With a
+        ``trace`` each shard evaluation runs in its own ``scatter.shard`` span.
         """
         executors = self._shard_executors
         if instruments.REGISTRY.enabled:
             instruments.SCATTER_TASKS_TOTAL.labels(self.workers).inc(
                 len(executors)
             )
-
-        def run(shard_id: int, executor: Executor):
-            if trace is None:
-                return task(executor)
+        if trace is None:
+            return [task(executor) for executor in executors]
+        results = []
+        for shard_id, executor in enumerate(executors):
             with trace.span("scatter.shard", shard=shard_id, workers="thread"):
-                return task(executor)
-
-        if len(executors) == 1 or self.max_workers == 1:
-            return [run(i, executor) for i, executor in enumerate(executors)]
-        pool = self._ensure_pool()
-        futures = [
-            pool.submit(run, i, executor)
-            for i, executor in enumerate(executors)
-        ]
-        return [future.result() for future in futures]
-
-    def _ensure_pool(self) -> ThreadPoolExecutor:
-        if self._pool is None:
-            workers = self.max_workers or self.num_shards
-            self._pool = ThreadPoolExecutor(
-                max_workers=max(1, min(workers, self.num_shards)),
-                thread_name_prefix="repro-shard",
-            )
-        return self._pool
+                results.append(task(executor))
+        return results
 
     # ---------------------------------------------------- process-pool path
     def _mark_process_stale(self) -> None:
@@ -752,13 +741,12 @@ class ScatterGatherExecutor:
             self._process_pool.shutdown(wait=True)
             self._process_pool = None
 
-    def _make_shard_model(self) -> ScoringModel | None:
-        """A private scoring-model instance for one shard executor.
+    def _make_model(self) -> ScoringModel | None:
+        """The scoring model all shard executors share.
 
-        Every instance is bound to the *aggregated* statistics, so all shards
-        score with the global df / N / norms; each shard gets its own object
-        because ``prepare()`` carries per-query state that must not be shared
-        across concurrently-evaluating shards.
+        It is bound to the *aggregated* statistics, so every shard scores
+        with the global df / N / norms; shards are evaluated one at a time,
+        each calling ``prepare()`` first, so one instance serves them all.
         """
         from repro.exceptions import ScoringError
 
@@ -790,17 +778,18 @@ class ScatterGatherExecutor:
         self._scoring_stale = True
 
     def _refresh_scoring_if_stale(self) -> None:
-        """Re-bind shard scoring models after an incremental index update.
+        """Re-bind the scoring model after an incremental index update.
 
         ``ShardedIndex.add_node`` drops the aggregated statistics; the next
-        query must score with the recomputed global df / N, so every shard
-        executor gets a fresh model bound to the fresh statistics.
+        query must score with the recomputed global df / N, so the shard
+        executors get a fresh model bound to the fresh statistics.
         """
         if not self._scoring_stale:
             return
         self._scoring_stale = False
+        model = self._make_model()
         for executor in self._shard_executors:
-            executor.scoring = self._make_shard_model()
+            executor.scoring = model
 
     def _resolve_scoring_name(self, spec: "str | ScoringModel | None") -> str:
         if spec is None:

@@ -60,12 +60,13 @@ class FullTextEngine:
     The engine runs in one of two modes, chosen by the index it is given:
 
     * a plain :class:`InvertedIndex` -- the single-index path of the paper;
-    * a :class:`~repro.cluster.sharded_index.ShardedIndex` -- queries fan out
-      to every shard through the scatter-gather executor and the merged
-      results (identical node ids and scores, see :mod:`repro.cluster`) come
-      back with per-query cache/shard metadata.
+    * a :class:`~repro.cluster.sharded_index.ShardedIndex` -- the
+      scatter-gather executor evaluates every query on every shard and the
+      merged results (identical node ids and scores, see
+      :mod:`repro.cluster`) come back with per-query cache/shard metadata.
 
-    ``cache_size`` and ``max_workers`` belong to the cluster path and have
+    ``cache_size`` and ``max_workers`` (the size of the ``workers="process"``
+    pool, nothing else) belong to the cluster path and have
     no effect when the index is a plain :class:`InvertedIndex`; to get a
     cached engine without real sharding, use
     :meth:`from_collection` with an explicit ``cache_size`` (it builds a
@@ -148,7 +149,8 @@ class FullTextEngine:
         ``partitioner``: ``"hash"``, ``"round-robin"`` or
         ``"metadata:<key>"``) and every search runs scatter-gather across the
         shards with an LRU result cache of ``cache_size`` entries
-        (``cache_size=None`` disables caching).
+        (``cache_size=None`` disables caching).  ``workers="thread"`` (the
+        default) evaluates the shards one after another in the calling thread.
 
         With ``live=True`` the index is built on the log-structured segment
         subsystem (:mod:`repro.segments`) and the engine accepts
@@ -158,17 +160,17 @@ class FullTextEngine:
         memtable (documents per segment seal).
 
         Caching lives in the cluster layer, so *explicitly* requesting a
-        cache at ``shards=1`` builds a one-shard cluster (the sequential
-        fallback, identical results) instead of silently dropping the
+        cache at ``shards=1`` builds a one-shard cluster (the same code
+        path as N shards, identical results) instead of silently dropping the
         request -- the shape a cached long-running server such as
         ``repro serve`` uses.  Left unspecified, ``shards=1`` stays the
         plain single-index path.
 
-        ``workers="process"`` fans each search out to a pool of worker
-        *processes* (one per shard) instead of threads: per-shard evaluation
-        escapes the GIL, at the cost of spilling the shards to packed
-        segment files the workers ``mmap``.  It requires a static (non-live)
-        index; results stay bit-identical to the thread path.  At
+        ``workers="process"`` fans each search out to a pool of
+        ``max_workers`` worker *processes* (default: one per shard) instead:
+        evaluation escapes the GIL, at the cost of spilling the shards to
+        packed segment files the workers ``mmap``.  It requires a static (non-live)
+        index; results stay bit-identical to the in-process path.  At
         ``shards=1`` it still builds a one-shard cluster so the process
         pool applies.
 
@@ -235,9 +237,9 @@ class FullTextEngine:
     def scoring(self) -> ScoringModel | None:
         """The active scoring model.
 
-        On the sharded path this delegates to the cluster (shard 0's model),
-        which re-binds to fresh aggregated statistics after incremental
-        updates -- a snapshot taken at construction would go stale.
+        On the sharded path this delegates to the cluster (one model for
+        all shards), which re-binds to fresh aggregated statistics after
+        incremental updates -- a snapshot taken at construction would go stale.
         """
         if self._cluster is not None:
             return self._cluster.scoring
@@ -325,11 +327,11 @@ class FullTextEngine:
         return stats
 
     def close(self) -> None:
-        """Release the worker pool and close live-index resources.
+        """Release cluster resources and close live-index resources.
 
         On a live index this stops background compaction and makes the WAL
-        durable; on the cluster path it additionally shuts the scatter
-        worker pool down.  Idempotent.
+        durable; on the cluster path it additionally shuts the
+        ``workers="process"`` pool down.  Idempotent.
         """
         if self._cluster is not None:
             self._cluster.close()

@@ -57,6 +57,23 @@ ENGINE_CLASS = {
 }
 
 
+def resolve_engine(language_class: LanguageClass, engine: str) -> str:
+    """The class's native engine for ``"auto"``, else the validated forced one."""
+    if engine == AUTO:
+        return NATIVE_ENGINE[language_class]
+    engine = engine.lower()
+    if engine not in ENGINE_CLASS:
+        raise UnsupportedQueryError(
+            f"unknown engine {engine!r}; expected one of "
+            f"{sorted(ENGINE_CLASS)} or 'auto'"
+        )
+    if not can_evaluate(language_class, ENGINE_CLASS[engine]):
+        raise UnsupportedQueryError(
+            f"the {engine} engine cannot evaluate {language_class.value} queries"
+        )
+    return engine
+
+
 @dataclass
 class EvaluationResult:
     """Outcome of evaluating one query.
@@ -163,9 +180,10 @@ class Executor:
         Both observe the run without changing any returned byte.
 
         ``plan`` injects a precomputed :class:`PhysicalPlan` (the scatter
-        layer ships the coordinator's plan to every shard this way); when
-        omitted, this executor's own planner produces one per its
-        ``optimizer`` mode.
+        layer ships the coordinator's plan to every shard this way) whose
+        ``language_class`` and ``engine`` are trusted instead of classifying
+        again; when omitted, this executor's own planner produces one per
+        its ``optimizer`` mode.
         """
         return self._execute(
             query, engine, top_k=top_k, explain=explain, trace=trace, plan=plan
@@ -240,10 +258,16 @@ class Executor:
         plan: PhysicalPlan | None = None,
     ) -> EvaluationResult:
         check_top_k(top_k)
-        language_class = classify_query(query, self.registry)
-        engine_name = self._resolve_engine(language_class, engine)
-        index = self._current_index()
         shipped = plan is not None
+        if shipped:
+            # The coordinator that built the plan classified the query and
+            # validated the engine choice once, for every shard.
+            language_class = LanguageClass(plan.language_class)
+            engine_name = plan.engine
+        else:
+            language_class = classify_query(query, self.registry)
+            engine_name = resolve_engine(language_class, engine)
+        index = self._current_index()
         if not shipped and self.planner is not None and engine_name != "comp":
             plan = self.planner.plan(
                 query,
@@ -481,21 +505,6 @@ class Executor:
             scoring.prepare(sorted(ast.query_tokens(query)))
         give_up_after = plan.give_up_after if plan is not None else None
         return TopKCollector(top_k, scoring, give_up_after=give_up_after)
-
-    def _resolve_engine(self, language_class: LanguageClass, engine: str) -> str:
-        if engine == AUTO:
-            return NATIVE_ENGINE[language_class]
-        engine = engine.lower()
-        if engine not in ENGINE_CLASS:
-            raise UnsupportedQueryError(
-                f"unknown engine {engine!r}; expected one of "
-                f"{sorted(ENGINE_CLASS)} or 'auto'"
-            )
-        if not can_evaluate(language_class, ENGINE_CLASS[engine]):
-            raise UnsupportedQueryError(
-                f"the {engine} engine cannot evaluate {language_class.value} queries"
-            )
-        return engine
 
     def _run(
         self,

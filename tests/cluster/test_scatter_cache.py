@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.cluster import (
@@ -66,7 +68,11 @@ def test_sequential_fallback_equals_pooled_execution(collection):
     pooled = ScatterGatherExecutor(ShardedIndex(collection, 3))
     sequential = ScatterGatherExecutor(ShardedIndex(collection, 3), max_workers=1)
     assert pooled.execute(query).node_ids == sequential.execute(query).node_ids
-    assert sequential._pool is None  # the fallback never builds a pool
+    assert not [
+        thread.name
+        for thread in threading.enumerate()
+        if thread.name.startswith("repro-shard")
+    ]  # in-process scatter runs in the caller: no shard thread pool exists
     pooled.close()
     sequential.close()
 

@@ -138,12 +138,7 @@ class BoolEngine:
 
     # ---------------------------------------------------------------- leaves
     def _token_leaf(self, token: str, factory: CursorFactory) -> _NodeSet:
-        cursor = self.index.open_cursor(token, factory)
-        nodes: list[int] = []
-        node = cursor.next_entry()
-        while node is not None:
-            nodes.append(node)
-            node = cursor.next_entry()
+        nodes = self.index.open_cursor(token, factory).drain()
         scores: dict[int, float] = {}
         if self.scoring is not None:
             previous = self.scoring.query_tokens
@@ -153,12 +148,7 @@ class BoolEngine:
         return _NodeSet(nodes, scores)
 
     def _any_leaf(self, factory: CursorFactory) -> _NodeSet:
-        cursor = self.index.open_any_cursor(factory)
-        nodes: list[int] = []
-        node = cursor.next_entry()
-        while node is not None:
-            nodes.append(node)
-            node = cursor.next_entry()
+        nodes = self.index.open_any_cursor(factory).drain()
         return _NodeSet(nodes, {nid: 1.0 for nid in nodes} if self.scoring else {})
 
     #: The zig-zag merge pays off when the rarest list is at most this

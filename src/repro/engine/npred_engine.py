@@ -110,6 +110,9 @@ class NPredBlockOperator(ops.PlanOperator):
         self.predicates = list(predicates)
         self.ordering = tuple(ordering)
         self.extra_inputs = list(extra_inputs)
+        self._inputs: list[ops.PlanOperator] = self.scans + self.extra_inputs
+        #: Scan index -> its slot in the thread's ordering.
+        self._rank = {attr: slot for slot, attr in enumerate(self.ordering)}
         self._node: int | None = None
 
     # ------------------------------------------------------------------ API
@@ -136,12 +139,9 @@ class NPredBlockOperator(ops.PlanOperator):
         raise EvaluationError("NPRED blocks expose node-level iteration only")
 
     # ------------------------------------------------------------- internals
-    def _all_inputs(self) -> list[ops.PlanOperator]:
-        return list(self.scans) + self.extra_inputs
-
     def _advance_all_inputs(self) -> int | None:
         highest: int | None = None
-        for operator in self._all_inputs():
+        for operator in self._inputs:
             node = operator.advance_node()
             if node is None:
                 return None
@@ -158,7 +158,7 @@ class NPredBlockOperator(ops.PlanOperator):
         """
         while True:
             changed = False
-            for operator in self._all_inputs():
+            for operator in self._inputs:
                 node = operator.current_node()
                 if node is not None and node < target:
                     node = operator.advance_node_to(target)
@@ -204,9 +204,10 @@ class NPredBlockOperator(ops.PlanOperator):
             # Move the cursor holding the largest position under the thread's
             # ordering (Algorithm 7): only "extending the gap" can make a
             # negative predicate true.
+            rank = self._rank
             latest_local = max(
                 range(len(bound.attr_indices)),
-                key=lambda local: self.ordering.index(bound.attr_indices[local]),
+                key=lambda local: rank[bound.attr_indices[local]],
             )
             target = bound.predicate.advance_target(
                 local_positions, bound.constants, latest_local

@@ -86,20 +86,18 @@ class ScanOperator(PlanOperator):
 
     def __init__(self, cursor: InvertedListCursor) -> None:
         self._cursor = cursor
+        #: Fast-mode cursors skip by seeking; paper-mode ones step entry by
+        #: entry so every skipped entry is charged as the paper's cost model
+        #: requires.  Fixed for the cursor's lifetime, so decided once.
+        self._seeks = cursor.mode == FAST_MODE
         self._node: int | None = None
-        self._positions: list[Position] = []
+        self._positions: tuple[Position, ...] = ()
         self._pointer = 0
 
     def advance_node(self) -> int | None:
-        node = self._cursor.next_entry()
-        self._node = node
-        if node is None:
-            self._positions = []
-            self._pointer = 0
-            return None
-        self._positions = self._cursor.get_positions()
+        self._node, self._positions = self._cursor.next_positions()
         self._pointer = 0
-        return node
+        return self._node
 
     def current_node(self) -> int | None:
         return self._node
@@ -107,32 +105,24 @@ class ScanOperator(PlanOperator):
     def advance_node_to(self, target: int) -> int | None:
         """Skip to the first entry with node id ``>= target``.
 
-        With a fast-mode cursor this is one galloping seek plus a single
-        position fetch at the landing entry; skipped entries never have their
-        positions materialised.  With a paper-mode cursor it falls back to
-        the sequential stepping of the base class, so the per-entry cost
-        accounting of the original implementation is preserved exactly.
+        With a fast-mode cursor this is one seek plus a single position
+        fetch at the landing entry; skipped entries never have their
+        positions materialised.  With a paper-mode cursor it steps
+        sequentially, so the per-entry cost accounting of the original
+        implementation is preserved exactly.
         """
         node = self._node
         if node is not None and node >= target:
             return node
-        if self._cursor.mode != FAST_MODE:
-            # Inline the base class's sequential stepping: this is the
-            # innermost loop of every paper-mode merge.
-            advance = self.advance_node
-            while True:
-                node = advance()
-                if node is None or node >= target:
-                    return node
-        if self._cursor.exhausted():
-            return None
-        node = self._cursor.seek(target)
+        if self._seeks:
+            node, positions = self._cursor.seek_positions(target)
+        else:
+            step = self._cursor.next_positions
+            node, positions = step()
+            while node is not None and node < target:
+                node, positions = step()
         self._node = node
-        if node is None:
-            self._positions = []
-            self._pointer = 0
-            return None
-        self._positions = self._cursor.get_positions()
+        self._positions = positions
         self._pointer = 0
         return node
 
@@ -141,21 +131,23 @@ class ScanOperator(PlanOperator):
         return self._cursor.entry_count()
 
     def advance_position(self, index: int, min_offset: int) -> bool:
-        self._check_index(index)
-        if self._node is None:
-            return False
-        while (
-            self._pointer < len(self._positions)
-            and self._positions[self._pointer].offset < min_offset
-        ):
-            self._pointer += 1
-        return self._pointer < len(self._positions)
+        if index != 0:  # the only attribute; _check_index raises
+            self._check_index(index)
+        positions = self._positions
+        pointer = self._pointer
+        count = len(positions)
+        while pointer < count and positions[pointer].offset < min_offset:
+            pointer += 1
+        self._pointer = pointer
+        return pointer < count
 
     def position(self, index: int) -> Position:
-        self._check_index(index)
-        if self._node is None or self._pointer >= len(self._positions):
-            raise EvaluationError("scan operator has no current position")
-        return self._positions[self._pointer]
+        if index != 0:
+            self._check_index(index)
+        try:
+            return self._positions[self._pointer]
+        except IndexError:
+            raise EvaluationError("scan operator has no current position") from None
 
 
 class JoinOperator(PlanOperator):
@@ -237,7 +229,8 @@ class SelectOperator(PlanOperator):
         return self.operand.current_node()
 
     def advance_position(self, index: int, min_offset: int) -> bool:
-        self._check_index(index)
+        if not 0 <= index < self.arity:
+            self._check_index(index)
         if not self.operand.advance_position(index, min_offset):
             return False
         return self._advance_until_satisfied()
@@ -248,20 +241,22 @@ class SelectOperator(PlanOperator):
     # ------------------------------------------------------------- internals
     def _advance_until_satisfied(self) -> bool:
         """Advance the input until the predicate holds (single forward scan)."""
+        position = self.operand.position
+        advance_position = self.operand.advance_position
+        holds = self.predicate.holds
+        advance_hints = self.predicate.advance_hints
+        attr_indices = self.attr_indices
+        constants = self.constants
         while True:
-            current = [self.operand.position(idx) for idx in self.attr_indices]
-            if self.predicate.holds(current, self.constants):
+            current = [position(idx) for idx in attr_indices]
+            if holds(current, constants):
                 return True
-            hints = self.predicate.advance_hints(current, self.constants)
-            moved = False
-            for local_index, target in hints.items():
+            for local_index, target in advance_hints(current, constants).items():
                 if target > current[local_index].offset:
-                    attr = self.attr_indices[local_index]
-                    if not self.operand.advance_position(attr, target):
+                    if not advance_position(attr_indices[local_index], target):
                         return False
-                    moved = True
                     break
-            if not moved:
+            else:
                 raise EvaluationError(
                     f"predicate {self.predicate.name!r} produced no progressing "
                     "advance hint; it does not satisfy the positive-predicate "
@@ -414,12 +409,6 @@ class ZigZagJoinOperator(PlanOperator):
             raise EvaluationError("a zig-zag join needs at least one input")
         self.inputs = list(inputs)
         self.arity = sum(op.arity for op in self.inputs)
-        offsets = []
-        total = 0
-        for op in self.inputs:
-            offsets.append(total)
-            total += op.arity
-        self._attr_offsets = offsets
         order = (
             list(merge_order)
             if merge_order is not None
@@ -430,26 +419,29 @@ class ZigZagJoinOperator(PlanOperator):
                 f"merge order {order!r} is not a permutation of the "
                 f"{len(self.inputs)} inputs"
             )
-        self._order = order
+        self._ordered = [self.inputs[index] for index in order]
+        #: Global attribute index -> (input operator, its local index).
+        self._slots = [
+            (op, local) for op in self.inputs for local in range(op.arity)
+        ]
         self._node: int | None = None
 
     def advance_node(self) -> int | None:
-        lead = self.inputs[self._order[0]]
-        candidate = lead.advance_node()
-        if candidate is None:
-            self._node = None
-            return None
-        self._node = self._align(candidate)
-        return self._node
+        candidate = self._ordered[0].advance_node()
+        if candidate is not None:
+            candidate = self._align(candidate)
+        self._node = candidate
+        return candidate
 
     def _align(self, candidate: int) -> int | None:
         """Advance inputs (in merge order) until all sit on one node."""
+        ordered = self._ordered
         while True:
             aligned = True
-            for index in self._order:
+            for operator in ordered:
                 # advance_node_to returns the current node unchanged (and
                 # uncharged) when it is already >= candidate.
-                node = self.inputs[index].advance_node_to(candidate)
+                node = operator.advance_node_to(candidate)
                 if node is None:
                     return None
                 if node > candidate:
@@ -462,22 +454,16 @@ class ZigZagJoinOperator(PlanOperator):
         return self._node
 
     def advance_position(self, index: int, min_offset: int) -> bool:
-        self._check_index(index)
-        operator, local = self._locate(index)
+        if not 0 <= index < self.arity:
+            self._check_index(index)
+        operator, local = self._slots[index]
         return operator.advance_position(local, min_offset)
 
     def position(self, index: int) -> Position:
-        self._check_index(index)
-        operator, local = self._locate(index)
+        if not 0 <= index < self.arity:
+            self._check_index(index)
+        operator, local = self._slots[index]
         return operator.position(local)
-
-    def _locate(self, index: int) -> tuple[PlanOperator, int]:
-        """Map a global attribute index to (input operator, local index)."""
-        for op_index in range(len(self.inputs) - 1, -1, -1):
-            offset = self._attr_offsets[op_index]
-            if index >= offset:
-                return self.inputs[op_index], index - offset
-        raise EvaluationError(f"attribute {index} does not map to any input")
 
 
 def rarest_first_order(inputs: Sequence[PlanOperator]) -> list[int]:

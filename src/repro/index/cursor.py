@@ -12,8 +12,10 @@ inverted lists exclusively through this API, so the number of cursor
 operations is a faithful proxy for the paper's complexity parameters.
 
 On top of the sequential API the cursor offers :meth:`InvertedListCursor.seek`
-(galloping/binary search over the columnar node-id array).  How a seek is
-*charged* is governed by the cursor's access mode:
+(binary search over the columnar node-id array) and three fused calls for the
+evaluation hot loops -- ``drain()``, ``next_positions()`` and
+``seek_positions(target)`` -- each charged exactly as the paper-API sequence
+it replaces.  How a seek is *charged* is governed by the cursor's access mode:
 
 * ``"paper"`` (default) -- the physical skip still happens, but the cursor is
   charged one ``next_entry`` per entry it moved over, exactly as if it had
@@ -164,12 +166,50 @@ class InvertedListCursor:
             raise RuntimeError(
                 "get_positions() called while the cursor is not on an entry"
             )
+        return list(self._take_positions(index))
+
+    # ---------------------------------------------------------- fused calls
+    # Each returns what the equivalent paper-API sequence returns and charges
+    # exactly what it charges; positions come back as the decoded cache's
+    # immutable tuple instead of a list copy.
+    def drain(self) -> list[int]:
+        """The remaining node ids; charged as ``next_entry`` until ``None``."""
+        start = self._index + 1
+        length = self._length
+        self.stats.next_entry_calls += max(length - start, 0) + 1
+        self._index = length
+        return self._node_ids[start:length].tolist()
+
+    def next_positions(self) -> tuple[int | None, tuple[Position, ...]]:
+        """``next_entry()`` then ``get_positions()``: ``(node, positions)``,
+        or ``(None, ())`` at the end."""
+        self.stats.next_entry_calls += 1
+        index = self._index + 1
+        if index >= self._length:
+            self._index = self._length
+            return None, ()
+        self._index = index
+        return self._node_ids[index], self._take_positions(index)
+
+    def seek_positions(self, node_id: int) -> tuple[int | None, tuple[Position, ...]]:
+        """``seek(node_id)`` then ``get_positions()``: ``(node, positions)``,
+        or ``(None, ())`` -- uncharged when the cursor is already exhausted."""
+        if self._index >= self._length:
+            return None, ()
+        index = self._seek_to(node_id)
+        if index >= self._length:
+            return None, ()
+        return self._node_ids[index], self._take_positions(index)
+
+    def _take_positions(self, index: int) -> tuple[Position, ...]:
+        """Entry ``index``'s decoded positions, charged as one ``get_positions``."""
         positions = self._decoded.get(index)
         if positions is None:
             positions = self._list.positions_at(index)
-        self.stats.get_positions_calls += 1
-        self.stats.positions_returned += len(positions)
-        return list(positions)
+        stats = self.stats
+        stats.get_positions_calls += 1
+        stats.positions_returned += len(positions)
+        return positions
 
     # -------------------------------------------------------- conveniences
     def current_node(self) -> int | None:
@@ -190,15 +230,17 @@ class InvertedListCursor:
         """Move forward to the first entry with node id ``>= node_id``.
 
         Returns the landing node id, or ``None`` when the list is exhausted.
-        The physical movement is a galloping + binary search over the node-id
-        column in both modes; only the *charging* differs (see the module
-        docstring).
+        The physical movement is a binary search over the node-id column in
+        both modes; only the *charging* differs (see the module docstring).
         """
+        index = self._seek_to(node_id)
+        return self._node_ids[index] if index < self._length else None
+
+    def _seek_to(self, node_id: int) -> int:
+        """Move as :meth:`seek` does, charging by mode; return the new index."""
         index = self._index
-        if 0 <= index < self._length:
-            current = self._node_ids[index]
-            if current >= node_id:
-                return current
+        if 0 <= index < self._length and self._node_ids[index] >= node_id:
+            return index
         landing, probes = self._list.seek_index(max(index, 0), node_id, self._length)
         if self.mode == FAST_MODE:
             self.stats.seek_calls += 1
@@ -208,11 +250,8 @@ class InvertedListCursor:
             # a minimum of one call (an exhausted cursor still pays for the
             # call that discovers there is nothing left).
             self.stats.next_entry_calls += max(landing - index, 1)
-        if landing >= self._length:
-            self._index = self._length
-            return None
         self._index = landing
-        return self._node_ids[landing]
+        return landing
 
     def advance_to(self, node_id: int) -> int | None:
         """Advance until the current node id is ``>= node_id``; return it, or
@@ -348,6 +387,34 @@ class MultiSegmentCursor:
                 "get_positions() called while the cursor is not on an entry"
             )
         return self._parts[self._current_part][0].get_positions()
+
+    # ---------------------------------------------------------- fused calls
+    # Compositions of the paper API above, so they charge what it charges.
+    def drain(self) -> list[int]:
+        """The remaining visible node ids (see :meth:`InvertedListCursor.drain`)."""
+        nodes: list[int] = []
+        node = self.next_entry()
+        while node is not None:
+            nodes.append(node)
+            node = self.next_entry()
+        return nodes
+
+    def next_positions(self) -> tuple[int | None, tuple[Position, ...]]:
+        """``next_entry()`` then the current entry's positions."""
+        node = self.next_entry()
+        if node is None:
+            return None, ()
+        return node, tuple(self.get_positions())
+
+    def seek_positions(self, node_id: int) -> tuple[int | None, tuple[Position, ...]]:
+        """``seek(node_id)`` then the landing entry's positions; uncharged
+        when the cursor is already exhausted."""
+        if self._done:
+            return None, ()
+        node = self.seek(node_id)
+        if node is None:
+            return None, ()
+        return node, tuple(self.get_positions())
 
     # -------------------------------------------------------- conveniences
     def current_node(self) -> int | None:

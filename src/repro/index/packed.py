@@ -149,41 +149,23 @@ class PackedPostingList(PostingList):
             f"read-only segment buffer); rebuild the index to add entries"
         )
 
-    def seek_index(
-        self, start: int, node_id: int, stop: int | None = None
-    ) -> tuple[int, int]:
-        """As :meth:`PostingList.seek_index`, with skip-table narrowing.
+    def _bisect(self, node_id: int, lo: int, hi: int) -> int:
+        """As :meth:`PostingList._bisect`, with skip-table narrowing.
 
-        The returned index and probe charge are identical to the in-memory
-        implementation; the skip table only reduces the *physical* range the
-        binary search touches (fewer pages faulted in on cold segments).
+        ``seek_index`` (and with it the probe charge) is inherited; the skip
+        table only reduces the *physical* range the bisection touches (fewer
+        pages faulted in on cold segments).  ``skips[b]`` is the node id of
+        entry ``b * SKIP_BLOCK``, so the landing lies in
+        ``[(block - 1) * SKIP_BLOCK, block * SKIP_BLOCK]``.
         """
-        node_ids = self._node_ids
-        length = len(node_ids)
-        if stop is not None and stop < length:
-            length = stop
-        if start >= length:
-            return length, 0
-        if start < 0:
-            start = 0
-        limit = min(start + self.SEEK_LINEAR_LIMIT, length)
-        index = start
-        while index < limit:
-            if node_ids[index] >= node_id:
-                return index, index - start + 1
-            index += 1
-        if index >= length:
-            return length, index - start
-        lo, hi = index, length
         skips = self._skips
         if skips is not None and len(skips) > 1:
             block = bisect_left(skips, node_id)
             if block > 0:
-                lo = max(lo, min((block - 1) * SKIP_BLOCK, length))
+                lo = max(lo, min((block - 1) * SKIP_BLOCK, hi))
             if block < len(skips):
                 hi = min(hi, block * SKIP_BLOCK + 1)
-        landing = bisect_left(node_ids, node_id, lo, hi)
-        return landing, (index - start) + (length - index).bit_length()
+        return bisect_left(self._node_ids, node_id, lo, hi)
 
 
 # --------------------------------------------------------------------------

@@ -283,26 +283,29 @@ class PostingList:
         mode).  ``stop`` bounds the search to the first ``stop`` entries --
         cursors pass their snapshot length so entries appended after the
         cursor opened stay invisible to it.
+
+        The landing is found by one C-level bisection; the charge is the one
+        an adaptive search would pay -- linear probes across the first
+        ``SEEK_LINEAR_LIMIT`` entries, then a binary search over the rest.
         """
-        node_ids = self._node_ids
-        length = len(node_ids)
+        length = len(self._node_ids)
         if stop is not None and stop < length:
             length = stop
         if start >= length:
             return length, 0
         if start < 0:
             start = 0
-        # Adaptive fast path: cross short gaps linearly.
-        limit = min(start + self.SEEK_LINEAR_LIMIT, length)
-        index = start
-        while index < limit:
-            if node_ids[index] >= node_id:
-                return index, index - start + 1
-            index += 1
-        if index >= length:
-            return length, index - start
-        landing = bisect.bisect_left(node_ids, node_id, index, length)
-        return landing, (index - start) + (length - index).bit_length()
+        landing = self._bisect(node_id, start, length)
+        limit = self.SEEK_LINEAR_LIMIT
+        if landing - start < limit and landing < length:
+            return landing, landing - start + 1
+        if length - start <= limit:
+            return length, length - start
+        return landing, limit + (length - start - limit).bit_length()
+
+    def _bisect(self, node_id: int, lo: int, hi: int) -> int:
+        """First index in ``[lo, hi)`` whose node id is ``>= node_id``."""
+        return bisect.bisect_left(self._node_ids, node_id, lo, hi)
 
     def document_frequency(self) -> int:
         """``df(t)``: the number of entries (nodes containing the token)."""

@@ -47,14 +47,29 @@ class TfIdfScoring(ScoringModel):
         super().__init__(statistics)
         self._query_norm = 1.0
         self._unique_search_tokens = 1
-        self._node_norms: dict[int, float] = {}
+        #: ``(token, w(t), idf(t))`` per distinct query token, query order.
+        self._terms: list[tuple[str, float, float]] = []
+        #: node id -> ``(node_length, max(unique_tokens, 1), ||n||_2)``.
+        #: Safe to keep for the model's lifetime: its statistics never change
+        #: under it (a changed index re-binds a new model instance).
+        self._node_facts: dict[int, tuple[int, int, float]] = {}
 
     # ----------------------------------------------------------- query setup
     def prepare(self, query_tokens: Sequence[str]) -> None:
+        """Fold ``||q||_2`` and the term table; free for the tokens it holds.
+
+        The sharded executor prepares the one shared model once per shard
+        with the same sorted tokens, and the statistics cannot have changed
+        in between, so a re-prepare for the current tokens keeps everything.
+        """
+        if tuple(query_tokens) == self._query_tokens:
+            return
         super().prepare(query_tokens)
         unique = list(dict.fromkeys(query_tokens))
         self._unique_search_tokens = max(len(unique), 1)
-        weights = {token: self.token_weight(token) for token in unique}
+        idf = self.statistics.idf
+        self._terms = [(token, self.token_weight(token), idf(token)) for token in unique]
+        weights = {token: weight for token, weight, _ in self._terms}
         self._query_norm = self.statistics.query_l2_norm(weights) or 1.0
 
     def token_weight(self, token: str) -> float:
@@ -64,8 +79,8 @@ class TfIdfScoring(ScoringModel):
     # ----------------------------------------------------------- tuple scores
     def static_score(self, node_id: int, token: str) -> float:
         """The precomputable part ``idf(t) / (unique_tokens(n) · ||n||_2)``."""
-        unique_tokens = max(self.statistics.unique_token_count(node_id), 1)
-        return self.statistics.idf(token) / (unique_tokens * self._node_norm(node_id))
+        _, unique_tokens, norm = self._facts(node_id)
+        return self.statistics.idf(token) / (unique_tokens * norm)
 
     def query_factor(self, token: str) -> float:
         """The query-dependent factor ``idf(t) / (unique_search_tokens · ||q||_2)``."""
@@ -79,17 +94,16 @@ class TfIdfScoring(ScoringModel):
     # --------------------------------------------------------- document score
     def document_score(self, node_id: int) -> float:
         """Classic cosine TF-IDF of the node against the prepared query."""
-        node = self.statistics.node(node_id)
-        unique_query_tokens = dict.fromkeys(self._query_tokens)
-        unique_tokens = max(self.statistics.unique_token_count(node_id), 1)
+        occurrence_count = self.statistics.node(node_id).occurrence_count
+        _, unique_tokens, norm = self._facts(node_id)
         total = 0.0
-        for token in unique_query_tokens:
-            occurs = node.occurrence_count(token)
+        for token, weight, idf in self._terms:
+            occurs = occurrence_count(token)
             if occurs == 0:
                 continue
             tf = occurs / unique_tokens
-            total += self.token_weight(token) * tf * self.statistics.idf(token)
-        return total / (self._node_norm(node_id) * self._query_norm)
+            total += weight * tf * idf
+        return total / (norm * self._query_norm)
 
     def score_upper_bound(self, node_id: int) -> float:
         """Bound ``document_score`` from per-token occurrence maxima.
@@ -110,19 +124,15 @@ class TfIdfScoring(ScoringModel):
         """
         terms = self._bound_state
         if terms is None:
+            max_occurrences = self.statistics.max_occurrences
             terms = [
-                (
-                    self.token_weight(token),
-                    self.statistics.idf(token),
-                    self.statistics.max_occurrences(token),
-                )
-                for token in dict.fromkeys(self._query_tokens)
+                (weight, idf, max_occurrences(token))
+                for token, weight, idf in self._terms
             ]
             self._bound_state = terms
-        length = self.statistics.node_length(node_id)
+        length, unique_tokens, norm = self._facts(node_id)
         if length == 0:
             return 0.0
-        unique_tokens = max(self.statistics.unique_token_count(node_id), 1)
         total = 0.0
         for weight, idf, max_occurrences in terms:
             capped = max_occurrences if max_occurrences < length else length
@@ -130,7 +140,7 @@ class TfIdfScoring(ScoringModel):
                 continue
             tf = capped / unique_tokens
             total += weight * tf * idf
-        return total / (self._node_norm(node_id) * self._query_norm)
+        return total / (norm * self._query_norm)
 
     # ------------------------------------------------ operator transformations
     def combine_join(
@@ -160,12 +170,17 @@ class TfIdfScoring(ScoringModel):
         return left_score
 
     # ------------------------------------------------------------- internals
-    def _node_norm(self, node_id: int) -> float:
-        norm = self._node_norms.get(node_id)
-        if norm is None:
-            norm = self.statistics.node_l2_norm(node_id) or 1.0
-            self._node_norms[node_id] = norm
-        return norm
+    def _facts(self, node_id: int) -> tuple[int, int, float]:
+        facts = self._node_facts.get(node_id)
+        if facts is None:
+            statistics = self.statistics
+            facts = (
+                statistics.node_length(node_id),
+                max(statistics.unique_token_count(node_id), 1),
+                statistics.node_l2_norm(node_id) or 1.0,
+            )
+            self._node_facts[node_id] = facts
+        return facts
 
 
 register_model("tfidf", TfIdfScoring)

@@ -11,8 +11,8 @@ sizes the ``workers="process"`` pool.  These tests pin
 * that no ``repro-shard*`` thread exists during or after a query, or after
   ``close()``;
 * that a multi-shard miss classifies its query exactly once inside the
-  cluster tier (a hit: never), and a forced engine is validated before any
-  shard runs;
+  cluster tier (a hit: never) and computes its query norm once, and a forced
+  engine is validated before any shard runs;
 * the two defects the pooled path had: a raising shard left its siblings
   running behind the caller's back, and ``execute_many`` reported
   ``max(shard)`` as the elapsed time of shards that do not overlap.
@@ -43,6 +43,7 @@ from repro.corpus.synthetic import SyntheticSpec, generate_collection
 from repro.engine.executor import Executor
 from repro.exceptions import UnsupportedQueryError
 from repro.index import InvertedIndex
+from repro.index.statistics import IndexStatistics
 from repro.languages import ast
 
 SHARD_COUNTS = (1, 2, 4, 7)
@@ -212,6 +213,31 @@ def test_one_scoring_model_serves_every_shard(corpus, queries):
     assert cluster.scoring is not before  # re-bound to the fresh statistics
     assert cluster.scoring.statistics is sharded.statistics
     cluster.close()
+
+
+@pytest.mark.parametrize("shards", [1, 4])
+def test_a_miss_computes_the_query_norm_once(corpus, shards, monkeypatch):
+    """Every shard prepares the shared model with the same sorted tokens;
+    only the first prepare of a query does the work."""
+    norms = []
+    original = IndexStatistics.query_l2_norm
+
+    def counting(self, token_weights):
+        norms.append(tuple(token_weights))
+        return original(self, token_weights)
+
+    monkeypatch.setattr(IndexStatistics, "query_l2_norm", counting)
+    texts = ["'alpha'", "'alpha' AND 'beta'", "'gamma' OR 'beta'", "'alpha'"]
+    cluster = ScatterGatherExecutor(
+        ShardedIndex(corpus, shards), scoring="tfidf", cache_size=None
+    )
+    try:
+        for text in texts:
+            del norms[:]
+            cluster.execute(parse_query(text).node, top_k=5)
+            assert len(norms) == 1, (text, norms)
+    finally:
+        cluster.close()
 
 
 # ------------------------------------------------- per-query facts, decided once

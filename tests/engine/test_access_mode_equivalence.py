@@ -5,7 +5,9 @@ The paper-mode guard pins the exact ``CursorStats`` counters of the seed
 (pre-columnar) implementation on a fixed synthetic workload -- the Figure
 3--8 benchmarks report these counters, so any change here is a break of the
 cost-model contract, not a refactoring detail.  The numbers were captured by
-running the original sequential implementation on this exact workload.
+running the original sequential implementation on this exact workload.  The
+fast-mode guard does the same for all five counters of the seek-charging
+path, so a faster cursor kernel must still do the same logical work.
 """
 
 from __future__ import annotations
@@ -63,6 +65,37 @@ SEED_COUNTS = {
     ),
 }
 
+#: (engine, series) -> fast-mode ``CursorStats.as_extended_dict()``, captured
+#: at commit d310cbb (before the fused cursor calls) on the same workload.
+#: Result counts are the paper-mode ones above.  A change here means the
+#: fast path does different logical work, not that it got faster.
+FAST_SEED_COUNTS = {
+    ("bool", "BOOL"): {
+        "next_entry_calls": 241, "get_positions_calls": 0, "positions_returned": 0,
+        "seek_calls": 0, "seek_probes": 0,
+    },
+    ("ppred", "BOOL"): {
+        "next_entry_calls": 30, "get_positions_calls": 152, "positions_returned": 456,
+        "seek_calls": 123, "seek_probes": 341,
+    },
+    ("ppred", "POSITIVE"): {
+        "next_entry_calls": 30, "get_positions_calls": 152, "positions_returned": 456,
+        "seek_calls": 123, "seek_probes": 341,
+    },
+    ("npred", "BOOL"): {
+        "next_entry_calls": 88, "get_positions_calls": 180, "positions_returned": 540,
+        "seek_calls": 93, "seek_probes": 257,
+    },
+    ("npred", "POSITIVE"): {
+        "next_entry_calls": 88, "get_positions_calls": 180, "positions_returned": 540,
+        "seek_calls": 93, "seek_probes": 257,
+    },
+    ("npred", "NEGATIVE"): {
+        "next_entry_calls": 528, "get_positions_calls": 1080, "positions_returned": 3240,
+        "seek_calls": 558, "seek_probes": 1542,
+    },
+}
+
 ENGINES = {"bool": BoolEngine, "ppred": PPredEngine, "npred": NPredEngine}
 
 
@@ -93,6 +126,16 @@ def test_paper_mode_stats_match_the_seed_implementation(
     # Paper mode never charges seeks.
     assert stats.seek_calls == 0
     assert stats.seek_probes == 0
+
+
+@pytest.mark.parametrize("engine_name,series", sorted(FAST_SEED_COUNTS))
+def test_fast_mode_stats_match_the_golden_counts(
+    guard_index, guard_queries, engine_name, series
+):
+    engine = ENGINES[engine_name](guard_index, access_mode=FAST_MODE)
+    nodes, stats = engine.evaluate_with_stats(guard_queries[series])
+    assert len(nodes) == SEED_COUNTS[(engine_name, series)][0]
+    assert stats.as_extended_dict() == FAST_SEED_COUNTS[(engine_name, series)]
 
 
 @pytest.mark.parametrize("engine_name,series", sorted(SEED_COUNTS))

@@ -36,16 +36,32 @@ print(json.dumps(rankings, sort_keys=True))
 """
 
 
-def _rank_under_seed(seed: str) -> str:
+def _env(seed: str) -> dict[str, str]:
     env = dict(os.environ, PYTHONHASHSEED=seed)
     env["PYTHONPATH"] = os.pathsep.join(
         path for path in (env.get("PYTHONPATH"), *sys.path) if path
     )
+    return env
+
+
+def _rank_under_seed(seed: str) -> str:
     return subprocess.run(
         [sys.executable, "-c", _SCRIPT],
-        env=env, capture_output=True, text=True, check=True, timeout=120,
+        env=_env(seed), capture_output=True, text=True, check=True, timeout=120,
     ).stdout
 
 
 def test_tfidf_scores_do_not_depend_on_the_hash_seed():
     assert _rank_under_seed("1") == _rank_under_seed("2")
+
+
+def test_tfidf_reference_identity_holds_under_both_hash_seeds():
+    """The bit-identity of scores vs the pre-table reference is not a
+    property of one hash seed (token tables must not follow set order)."""
+    module = os.path.join(os.path.dirname(__file__), "test_tfidf_reference.py")
+    for seed in ("1", "2"):
+        run = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", module],
+            env=_env(seed), capture_output=True, text=True, timeout=300,
+        )
+        assert run.returncode == 0, (seed, run.stdout[-2000:])

@@ -154,7 +154,7 @@ class SuiteRun:
         name: str,
         quick: bool,
         profile_top: int = 0,
-        optimizer: str = "static",
+        optimizer: str = "off",
     ) -> None:
         self.name = name
         self.quick = quick
@@ -257,7 +257,7 @@ def run_suites(
     quick: bool = False,
     out_dir: "Path | str" = ".",
     profile_top: int = 0,
-    optimizer: str = "static",
+    optimizer: str = "off",
     echo: "Callable[[str], None] | None" = None,
 ) -> "list[Path]":
     """Run suites through the shared core; write one BENCH_<suite>.json each."""

@@ -64,6 +64,7 @@ from repro.exceptions import ReproError
 from repro.index.inverted_index import InvertedIndex
 from repro.index.packed import packed_index_bytes
 from repro.index.storage import load_collection, load_index, save_collection
+from repro.planner import DEFAULT_OPTIMIZER, OPTIMIZER_MODES
 from repro.telemetry import LatencyRecorder, format_latency_summary
 from repro.telemetry.latency import _fmt_ms
 
@@ -88,13 +89,12 @@ def _add_optimizer_argument(command: argparse.ArgumentParser) -> None:
     """The planning-layer mode switch shared by the query-running commands."""
     command.add_argument(
         "--optimizer",
-        default="static",
-        choices=["on", "off", "static"],
-        help="query planning layer: 'on' plans with the statistics-driven "
-        "cost model (join order, merge strategy, access mode, top-k bound "
-        "strategy), 'static' (default) builds plan artifacts but keeps the "
-        "builtin heuristics, 'off' disables planning; results are "
-        "bit-identical in every mode",
+        default=DEFAULT_OPTIMIZER,
+        choices=OPTIMIZER_MODES,
+        help="query planning layer: 'on' picks join order, merge strategy "
+        "and the paper->fast upgrade from document frequencies (plans "
+        "memoised per canonical query), 'off' (default) keeps the engines' "
+        "builtin heuristics; results are bit-identical in both modes",
     )
 
 
@@ -624,7 +624,7 @@ def _load_engine(args: argparse.Namespace, cache_size: int | None = None) -> Ful
         live=getattr(args, "live", False),
         flush_threshold=getattr(args, "flush_threshold", None),
         workers=getattr(args, "workers", "thread"),
-        optimizer=getattr(args, "optimizer", "static"),
+        optimizer=getattr(args, "optimizer", DEFAULT_OPTIMIZER),
     )
 
 

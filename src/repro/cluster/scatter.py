@@ -74,14 +74,10 @@ from repro.index.packed_index import save_packed_index
 from repro.languages import ast
 from repro.languages.classify import classify_query
 from repro.model.predicates import PredicateRegistry, default_registry
-from repro.planner import (
-    DEFAULT_OPTIMIZER,
-    OPTIMIZER_OFF,
-    check_optimizer_mode,
-)
+from repro.planner import DEFAULT_OPTIMIZER, OPTIMIZER_OFF, check_optimizer_mode
 from repro.planner.ir import canonical_key
 from repro.planner.optimizer import QueryPlanner
-from repro.planner.physical import BOUND_HEAP, PhysicalPlan
+from repro.planner.physical import PhysicalPlan
 from repro.scoring.base import ScoringModel, available_models, get_model
 from repro.telemetry import instruments
 
@@ -90,47 +86,75 @@ WORKER_MODES = ("thread", "process")
 
 
 # ---------------------------------------------------------------------------
-# Spool-directory lifetime.  Explicit ``close()`` removes an executor's spool
-# directly, but a long-running server that dies to SIGTERM -- or any process
-# that simply exits without closing its engine -- must not leak epoch'd
-# spool directories under the system temp dir.  Every owned spool is tracked
-# in a module-level registry swept by an ``atexit`` hook, plus (when no one
-# else claimed SIGTERM and we are on the main thread) a chained SIGTERM
-# handler that sweeps and then re-raises the default termination.
+# Spool-directory and worker lifetime.  Explicit ``close()`` removes an
+# executor's spool and stops its pool directly, but a long-running server
+# that dies to SIGTERM -- or any process that simply exits without closing
+# its engine -- must not leak epoch'd spool directories under the system
+# temp dir, nor orphan its worker processes.  Every owned spool is tracked
+# in a module-level registry swept by an ``atexit`` hook, and every live
+# pool beside it; (when no one else claimed SIGTERM and we are on the main
+# thread) a chained SIGTERM handler sweeps the spools, terminates the pools'
+# workers and then re-raises the default termination.  A plain exit needs
+# no pool sweep: ``concurrent.futures`` joins idle workers at exit itself.
 # ---------------------------------------------------------------------------
 _SPOOL_REGISTRY: "set[str]" = set()
-_SPOOL_LOCK = threading.Lock()
-_SPOOL_CLEANUP_INSTALLED = False
+_LIVE_POOLS: "set[ProcessPoolExecutor]" = set()
+_REGISTRY_LOCK = threading.Lock()  # guards both registries
+_EXIT_CLEANUP_INSTALLED = False
 
 
 def cleanup_registered_spools() -> None:
     """Remove every registered spool directory (idempotent, never raises)."""
-    with _SPOOL_LOCK:
+    with _REGISTRY_LOCK:
         paths = list(_SPOOL_REGISTRY)
         _SPOOL_REGISTRY.clear()
     for path in paths:
         shutil.rmtree(path, ignore_errors=True)
 
 
+def terminate_registered_pools() -> None:
+    """Terminate and reap the workers of every live process pool.
+
+    Idle spawn workers block on a queue whose write end they hold
+    themselves, so they never notice their parent dying; without this they
+    (and the ``multiprocessing`` resource tracker) outlive a SIGTERM'd
+    parent.  (``ProcessPoolExecutor`` only exposes its workers through the
+    private ``_processes`` map before Python 3.14.)
+    """
+    with _REGISTRY_LOCK:
+        pools = list(_LIVE_POOLS)
+        _LIVE_POOLS.clear()
+    workers = [
+        process
+        for pool in pools
+        for process in list((getattr(pool, "_processes", None) or {}).values())
+    ]
+    for process in workers:
+        process.terminate()
+    for process in workers:
+        process.join(timeout=5)
+
+
 def _sweep_and_reraise_sigterm(signum, frame) -> None:  # pragma: no cover
     cleanup_registered_spools()
+    terminate_registered_pools()
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.raise_signal(signal.SIGTERM)  # exit with the conventional 143
 
 
-def _install_spool_cleanup() -> None:
+def _install_exit_cleanup() -> None:
     """Install the atexit sweep (once) and, where safe, the SIGTERM chain.
 
     The SIGTERM handler is only installed from the main thread and only when
     the signal is still at its default disposition: a host application (for
     example ``repro serve-http``'s drain handler) that manages SIGTERM
-    itself is expected to close its engines, which removes the spools
-    explicitly.
+    itself is expected to close its engines, which removes the spools and
+    stops the pools explicitly.
     """
-    global _SPOOL_CLEANUP_INSTALLED
-    if _SPOOL_CLEANUP_INSTALLED:
+    global _EXIT_CLEANUP_INSTALLED
+    if _EXIT_CLEANUP_INSTALLED:
         return
-    _SPOOL_CLEANUP_INSTALLED = True
+    _EXIT_CLEANUP_INSTALLED = True
     atexit.register(cleanup_registered_spools)
     if threading.current_thread() is not threading.main_thread():
         return
@@ -142,13 +166,13 @@ def _install_spool_cleanup() -> None:
 
 
 def _register_spool(path: Path) -> None:
-    with _SPOOL_LOCK:
+    with _REGISTRY_LOCK:
         _SPOOL_REGISTRY.add(str(path))
-    _install_spool_cleanup()
+    _install_exit_cleanup()
 
 
 def _unregister_spool(path: Path) -> None:
-    with _SPOOL_LOCK:
+    with _REGISTRY_LOCK:
         _SPOOL_REGISTRY.discard(str(path))
 
 
@@ -188,13 +212,9 @@ class ScatterGatherExecutor:
         # Planning is a *coordinator* concern: one planner over the global
         # aggregated statistics plans each query once, and the physical plan
         # ships to every shard -- so all shards make identical choices, and
-        # shard-local executors never plan on their own (optimizer="off").
+        # shard-local executors never plan on their own.
         self.optimizer = check_optimizer_mode(optimizer)
-        self.planner: QueryPlanner | None = (
-            QueryPlanner(self._planner_df)
-            if self.optimizer != OPTIMIZER_OFF
-            else None
-        )
+        self.planner = QueryPlanner(self._planner_df)
         model = self._make_model()
         self._shard_executors = [
             Executor(
@@ -224,10 +244,9 @@ class ScatterGatherExecutor:
         if self._scoring_spec is not None:
             sharded_index.add_invalidation_listener(self._mark_scoring_stale)
         # A mutation changes the global dfs the cost model planned with, so
-        # the planner's memoised plans (not its learned feedback) are dropped.
+        # the planner's memoised plans are dropped.
         self._planner_stale = False
-        if self.planner is not None:
-            sharded_index.add_invalidation_listener(self._mark_planner_stale)
+        sharded_index.add_invalidation_listener(self._mark_planner_stale)
         # Process-mode state: the spill files, the worker pool, and a dirty
         # flag that forces a respill + pool restart after any mutation.
         self._process_pool: ProcessPoolExecutor | None = None
@@ -299,7 +318,7 @@ class ScatterGatherExecutor:
             if cached is not None:
                 return cached
         self._refresh_scoring_if_stale()
-        plan = self._plan_for(query, engine, top_k)
+        plan = self._plan_for(query, engine)
         started = time.perf_counter()
         if self.workers == "process":
             per_shard = [
@@ -317,7 +336,6 @@ class ScatterGatherExecutor:
                 ),
                 trace=trace,
             )
-        self._fold_feedback(plan, per_shard)
         merged = merge_shard_results(
             per_shard, time.perf_counter() - started, top_k
         )
@@ -332,7 +350,7 @@ class ScatterGatherExecutor:
         return self._detached(merged, from_cache=False)
 
     def _plan_for(
-        self, query: ast.QueryNode, engine: str, top_k: int | None
+        self, query: ast.QueryNode, engine: str
     ) -> PhysicalPlan | None:
         """Classify, pick the engine and plan once; the plan ships to every shard.
 
@@ -342,15 +360,11 @@ class ScatterGatherExecutor:
         shards (the sharded/unsharded bit-identity invariant stays cheap).
         The plan carries the query's class and the validated engine, so a
         misused forced engine raises here and no shard walks the AST again;
-        with no plan (``optimizer="off"``, COMP) each shard resolves them.
+        COMP has no plan, so each shard resolves it again.
         """
-        if self.planner is None:
-            return None
         if self._planner_stale:
             self._planner_stale = False
-            self.planner = QueryPlanner(
-                self._planner_df, feedback=self.planner.feedback
-            )
+            self.planner = QueryPlanner(self._planner_df)
         language_class = classify_query(query, self.registry)
         engine_name = resolve_engine(language_class, engine)
         if engine_name == "comp":
@@ -361,45 +375,10 @@ class ScatterGatherExecutor:
             language_class=language_class.value,
             optimizer=self.optimizer,
             access_mode=self.access_mode,
-            top_k=top_k,
-            scored=self._scoring_spec is not None,
         )
         if instruments.REGISTRY.enabled:
             instruments.PLANS_TOTAL.labels(plan.provenance).inc()
         return plan
-
-    def _fold_feedback(
-        self,
-        plan: PhysicalPlan | None,
-        per_shard: "list[EvaluationResult]",
-    ) -> None:
-        """Fold shard-observed cursor ops back into the coordinator's model.
-
-        Each shard ships its per-token op counts; their sum is the global
-        observation the plan's estimate (made from global dfs) predicted.
-        Memo hits are skipped: the observation for this canonical query was
-        folded when the plan was fresh, and shards executing a "cached" plan
-        do not harvest token ops in the first place.
-        """
-        if (
-            plan is None
-            or self.planner is None
-            or plan.optimizer != "on"
-            or plan.provenance == "cached"
-        ):
-            return
-        totals: dict[str, float] = {}
-        gave_up = False
-        for result in per_shard:
-            if result.token_ops:
-                for token, count in result.token_ops.items():
-                    totals[token] = totals.get(token, 0.0) + count
-            if result.plan is not None and result.plan.get("gave_up"):
-                gave_up = True
-        if totals:
-            self.planner.observe(plan, totals)
-        if gave_up and plan.bound_strategy != BOUND_HEAP:
-            self.planner.record_give_up(plan)
 
     def _mark_planner_stale(self) -> None:
         self._planner_stale = True
@@ -411,11 +390,8 @@ class ScatterGatherExecutor:
         return statistics.document_frequency(token)
 
     def optimizer_stats(self) -> dict[str, object]:
-        """Optimizer mode + planner/feedback counters for ``/stats``."""
-        payload: dict[str, object] = {"mode": self.optimizer}
-        if self.planner is not None:
-            payload.update(self.planner.summary())
-        return payload
+        """Optimizer mode + planner counters for ``/stats``."""
+        return {"mode": self.optimizer, **self.planner.summary()}
 
     def _merged_explain(
         self,
@@ -494,7 +470,7 @@ class ScatterGatherExecutor:
             self._refresh_scoring_if_stale()
             batch = [queries[position] for position in pending]
             batch_plans = [
-                self._plan_for(query, engine, top_k) for query in batch
+                self._plan_for(query, engine) for query in batch
             ]
             if self.workers == "process":
                 per_shard_batches = self._process_scatter(
@@ -508,7 +484,6 @@ class ScatterGatherExecutor:
                 )
             for offset, position in enumerate(pending):
                 per_shard = [shard_batch[offset] for shard_batch in per_shard_batches]
-                self._fold_feedback(batch_plans[offset], per_shard)
                 # Worker processes overlap, so one query took as long as its
                 # slowest shard; in-process shards run back to back.
                 combine = max if self.workers == "process" else sum
@@ -591,8 +566,7 @@ class ScatterGatherExecutor:
             self._cache_listener_registered = False
         if self._scoring_spec is not None:
             self.sharded_index.remove_invalidation_listener(self._mark_scoring_stale)
-        if self.planner is not None:
-            self.sharded_index.remove_invalidation_listener(self._mark_planner_stale)
+        self.sharded_index.remove_invalidation_listener(self._mark_planner_stale)
 
     def __enter__(self) -> "ScatterGatherExecutor":
         return self
@@ -636,8 +610,8 @@ class ScatterGatherExecutor:
     ) -> "list[list[EvaluationResult]]":
         """Fan a batch out to the worker processes; one result list per shard.
 
-        Queries travel as surface text plus (when the optimizer is on) the
-        coordinator's pickled physical plans, aligned by position -- workers
+        Queries travel as surface text plus the coordinator's pickled
+        physical plans (``None`` for COMP), aligned by position -- workers
         execute the shipped plan instead of re-deriving choices per shard.
         Results come back as picklable per-shard :class:`EvaluationResult`
         lists in shard order (with ``explain`` the per-query explain
@@ -699,6 +673,9 @@ class ScatterGatherExecutor:
                 initializer=_init_worker,
                 initargs=(config,),
             )
+            with _REGISTRY_LOCK:
+                _LIVE_POOLS.add(self._process_pool)
+            _install_exit_cleanup()
         return self._process_pool
 
     def _spill_shards(self) -> None:
@@ -738,6 +715,8 @@ class ScatterGatherExecutor:
 
     def _teardown_process_pool(self) -> None:
         if self._process_pool is not None:
+            with _REGISTRY_LOCK:
+                _LIVE_POOLS.discard(self._process_pool)
             self._process_pool.shutdown(wait=True)
             self._process_pool = None
 

@@ -174,11 +174,12 @@ class FullTextEngine:
         ``shards=1`` it still builds a one-shard cluster so the process
         pool applies.
 
-        ``optimizer`` selects the planning layer's mode: ``"on"`` plans
-        every query with the statistics-driven cost model, ``"static"``
-        (the default) builds plan artifacts but defers every choice to the
-        builtin heuristics, ``"off"`` disables planning entirely.  Results
-        are pinned bit-identical across all three modes.
+        ``optimizer`` selects the planning layer's mode: ``"off"`` (the
+        default) builds plan artifacts but defers every choice to the
+        builtin heuristics, ``"on"`` picks join order, merge strategy and
+        the paper→fast upgrade from document frequencies and memoises the
+        plan per canonical query.  Results are pinned bit-identical across
+        both modes.
         """
         requested_cache = (
             DEFAULT_CACHE_SIZE if cache_size is _CACHE_UNSET else cache_size
@@ -280,18 +281,15 @@ class FullTextEngine:
         return QueryCache.empty_stats()
 
     def optimizer_stats(self) -> dict:
-        """The planning layer's mode plus planner counters when it is live.
+        """The planning layer's mode plus the planner summary.
 
-        Always carries ``"mode"``; with the optimizer ``"on"`` it adds the
-        planner summary (plans built, memo hits, learned corrections,
-        give-ups, feedback generation).
+        ``"mode"`` plus plans built, memo hits and memo size (the counters
+        stay zero with the optimizer ``"off"``: static plans are not
+        memoised work).
         """
         if self._cluster is not None:
             return self._cluster.optimizer_stats()
-        payload: dict = {"mode": self.optimizer}
-        if self._executor is not None and self._executor.planner is not None:
-            payload.update(self._executor.planner.summary())
-        return payload
+        return {"mode": self.optimizer, **self._executor.planner.summary()}
 
     def stats(self) -> dict:
         """Consolidated engine-side statistics for serving surfaces.

@@ -34,8 +34,8 @@ class SearchResults:
     total_matches: int = 0
     metadata: dict = field(default_factory=dict)
     #: Physical-plan provenance payload
-    #: (:meth:`~repro.planner.physical.PhysicalPlan.describe`) when the
-    #: planning layer produced a plan; ``None`` with the optimizer off.
+    #: (:meth:`~repro.planner.physical.PhysicalPlan.describe`); ``None``
+    #: for COMP, which runs without a plan.
     plan: dict | None = None
 
     def __post_init__(self) -> None:

@@ -67,7 +67,7 @@ class BoolEngine:
         self.access_mode = check_access_mode(access_mode)
         #: The planner's physical plan, when one was produced.  The engine
         #: consults it for the merge strategy and join order of conjunction
-        #: leaves; ``None`` (optimizer off) and "auto" choices defer to the
+        #: leaves; no plan and "auto" choices (optimizer off) defer to the
         #: builtin static heuristics below.  Either way the node sets and
         #: scores are identical -- the plan only redirects cursor traffic.
         self.physical = physical

@@ -26,14 +26,10 @@ from repro.engine.naive_engine import NaiveCompEngine
 from repro.engine.npred_engine import NPredEngine
 from repro.engine.ppred_engine import PPredEngine
 from repro.engine.topk import TopKCollector, check_top_k
-from repro.planner import (
-    DEFAULT_OPTIMIZER,
-    OPTIMIZER_OFF,
-    check_optimizer_mode,
-)
+from repro.planner import DEFAULT_OPTIMIZER, check_optimizer_mode
 from repro.planner.ir import canonical_key
-from repro.planner.optimizer import ANY_TOKEN, QueryPlanner
-from repro.planner.physical import BOUND_HEAP, PhysicalPlan
+from repro.planner.optimizer import QueryPlanner
+from repro.planner.physical import PhysicalPlan
 from repro.telemetry import instruments
 
 #: Engine name accepted by :meth:`Executor.execute` for automatic selection.
@@ -98,14 +94,10 @@ class EvaluationResult:
     #: through the process-scatter workers unchanged.
     explain: dict | None = None
     #: The physical plan's :meth:`~repro.planner.physical.PhysicalPlan.describe`
-    #: payload (provenance, strategy choices, per-token estimates) when a
-    #: planner was involved; plain dict for the same pickling reason.
+    #: payload (provenance, strategy choices, per-token estimates); ``None``
+    #: for COMP, which runs without a plan.  Plain dict for the same
+    #: pickling reason.
     plan: dict | None = None
-    #: Per-token observed cursor ops, harvested only for ``optimizer="on"``
-    #: executions -- the raw material of the planner's feedback loop.  Shard
-    #: workers ship this back so the coordinator's planner learns from the
-    #: whole cluster's cursors.
-    token_ops: dict[str, float] | None = None
     _ranked: list[tuple[int, float]] | None = None
 
     def __len__(self) -> int:
@@ -124,7 +116,15 @@ class EvaluationResult:
 
 
 class Executor:
-    """Classify queries, pick an engine, evaluate, optionally score."""
+    """Classify queries, pick an engine, evaluate, optionally score.
+
+    Every non-COMP query runs under a :class:`PhysicalPlan`.  With
+    ``optimizer="off"`` (the default) the plan defers every choice to the
+    engines' builtin heuristics; with ``"on"`` it carries the cost model's
+    join order, merge strategy and paper→fast upgrade, memoised per
+    canonical query until the index's generation moves.  Both modes are
+    pinned bit-identical in ids, scores and order.
+    """
 
     def __init__(
         self,
@@ -140,14 +140,8 @@ class Executor:
         self.scoring = scoring
         self.npred_orders = npred_orders
         self.access_mode = check_access_mode(access_mode)
-        #: ``"on"`` = cost-based planning with runtime feedback, ``"static"``
-        #: = a plan artifact is built for provenance/EXPLAIN but every choice
-        #: defers to the engines' builtin heuristics, ``"off"`` = no planner
-        #: at all.  All three are pinned bit-identical in ids/scores/order.
         self.optimizer = check_optimizer_mode(optimizer)
-        self.planner: QueryPlanner | None = (
-            QueryPlanner(self._df) if self.optimizer != OPTIMIZER_OFF else None
-        )
+        self.planner = QueryPlanner(self._df, version=self._index_generation)
 
     # ------------------------------------------------------------------ API
     def execute(
@@ -183,7 +177,7 @@ class Executor:
         layer ships the coordinator's plan to every shard this way) whose
         ``language_class`` and ``engine`` are trusted instead of classifying
         again; when omitted, this executor's own planner produces one per
-        its ``optimizer`` mode.
+        its ``optimizer`` mode.  COMP runs without a plan.
         """
         return self._execute(
             query, engine, top_k=top_k, explain=explain, trace=trace, plan=plan
@@ -268,33 +262,20 @@ class Executor:
             language_class = classify_query(query, self.registry)
             engine_name = resolve_engine(language_class, engine)
         index = self._current_index()
-        if not shipped and self.planner is not None and engine_name != "comp":
+        if not shipped and engine_name != "comp":
             plan = self.planner.plan(
                 query,
                 engine=engine_name,
                 language_class=language_class.value,
                 optimizer=self.optimizer,
                 access_mode=self.access_mode,
-                top_k=top_k,
-                scored=self.scoring is not None,
             )
         effective_mode = plan.access_mode if plan is not None else self.access_mode
-        collector = self._make_collector(query, top_k, plan)
-        # Feedback is harvested only for freshly optimized plans: a memo hit
-        # ("cached") means the planner already folded an observation for this
-        # canonical query, and re-harvesting per-cursor ops on every hit costs
-        # more than the corrections are worth.  Generation bumps invalidate
-        # the memo, so changed corpora still trigger re-observation.
-        harvest_feedback = (
-            plan is not None
-            and plan.optimizer == "on"
-            and plan.provenance != "cached"
-        )
-        if factory is None and (explain or harvest_feedback):
-            # Explain and the feedback loop need per-cursor visibility:
-            # inject a factory so the engine registers its cursors here
-            # instead of in a private one.  Results are unaffected --
-            # engines use a given factory verbatim.
+        collector = self._make_collector(query, top_k)
+        if factory is None and explain:
+            # Explain needs per-cursor visibility: inject a factory so the
+            # engine registers its cursors here instead of in a private one.
+            # Results are unaffected -- engines use a given factory verbatim.
             factory = CursorFactory(mode=effective_mode)
         if factory is not None:
             # Cursors snapshot the mode when opened, so a per-query override
@@ -325,9 +306,7 @@ class Executor:
                     raise
                 engine_name = "comp"
                 plan = None
-                shipped = False
-                harvest_feedback = False
-                collector = self._make_collector(query, top_k, None)
+                collector = self._make_collector(query, top_k)
                 node_ids, stats = self._run(
                     index, query, engine_name, factory, plan_cache, collector,
                     access_mode=effective_mode, physical=None,
@@ -345,17 +324,6 @@ class Executor:
         else:
             scores = self._score(query, node_ids, engine_name)
             ranked = None
-        token_ops = None
-        if harvest_feedback and factory is not None:
-            token_ops = self._token_ops(factory)
-            if self.planner is not None and not shipped:
-                self.planner.observe(plan, token_ops)
-                if (
-                    collector is not None
-                    and collector.gave_up
-                    and plan.bound_strategy != BOUND_HEAP
-                ):
-                    self.planner.record_give_up(plan)
         explain_payload = None
         if explain:
             explain_payload = self._build_explain(
@@ -368,14 +336,6 @@ class Executor:
             # Shipped plans are counted once by the coordinator that built
             # them, not again by every shard that executes them.
             instruments.PLANS_TOTAL.labels(plan.provenance).inc()
-        plan_payload = None
-        if plan is not None:
-            plan_payload = plan.describe()
-            if collector is not None and collector.gave_up:
-                # Surfaced so a coordinator folding shard results can teach
-                # its planner that this canonical query defeats bound
-                # pruning (workers run with their own planner off).
-                plan_payload["gave_up"] = True
         return EvaluationResult(
             node_ids=node_ids,
             language_class=language_class,
@@ -385,30 +345,9 @@ class Executor:
             cursor_stats=stats,
             ranked_limit=top_k if collector is not None else None,
             explain=explain_payload,
-            plan=plan_payload,
-            token_ops=token_ops,
+            plan=plan.describe() if plan is not None else None,
             _ranked=ranked,
         )
-
-    def _token_ops(self, factory: CursorFactory) -> dict[str, float]:
-        """Observed cursor ops per token for this query's open cursors.
-
-        One number per token -- the sum of every op kind ``CursorStats``
-        counts -- in the same unit the cost model estimates in, so the
-        feedback loop can divide observed by estimated directly.
-        """
-        ops: dict[str, float] = {}
-        for cursor in factory._open_cursors:
-            token = cursor.token if cursor.token is not None else ANY_TOKEN
-            stats = cursor.stats
-            total = (
-                stats.next_entry_calls
-                + stats.get_positions_calls
-                + stats.seek_calls
-                + stats.seek_probes
-            )
-            ops[token] = ops.get(token, 0.0) + float(total)
-        return ops
 
     def _build_explain(
         self,
@@ -488,23 +427,19 @@ class Executor:
         self,
         query: ast.QueryNode,
         top_k: int | None,
-        plan: PhysicalPlan | None = None,
     ) -> TopKCollector | None:
         """The score-bounded collector for one pushdown execution.
 
         The scoring model is prepared for the query *before* evaluation
         starts (the non-pushdown path prepares it after), so the collector
-        can score and bound candidates as the engines produce them.  The
-        plan's bound strategy selects the give-up threshold (``"heap"``
-        disables bound probes outright); results never depend on it.
+        can score and bound candidates as the engines produce them.
         """
         if top_k is None:
             return None
         scoring = self.scoring
         if scoring is not None:
             scoring.prepare(sorted(ast.query_tokens(query)))
-        give_up_after = plan.give_up_after if plan is not None else None
-        return TopKCollector(top_k, scoring, give_up_after=give_up_after)
+        return TopKCollector(top_k, scoring)
 
     def _run(
         self,
@@ -573,6 +508,13 @@ class Executor:
             plan = extract_plan(query, self.registry)
             plan_cache[key] = plan
         return plan
+
+    def _index_generation(self) -> "int | None":
+        """The data version plans are costed at: a live index's generation.
+
+        Static indexes have none, so their memoised plans never go stale.
+        """
+        return getattr(self.index, "generation", None)
 
     def _df(self, token: "str | None") -> int:
         """Document frequency for the planner (``None`` = the ANY list).

@@ -496,7 +496,7 @@ def zigzag_node_intersect(
 
     ``merge_order`` (a permutation of cursor indices, lead first) overrides
     the builtin entry-count ordering -- the hook the cost-based planner uses
-    to lead with the feedback-corrected cheapest list.  The intersection
+    to lead with the cheapest list by document frequency.  The intersection
     result is the same set either way; only the cursor-op profile changes.
     """
     if not cursors:

@@ -56,8 +56,8 @@ class PPredEngine:
         self.registry = registry or default_registry()
         self.access_mode = check_access_mode(access_mode)
         #: Optional :class:`~repro.planner.physical.PhysicalPlan`.  Supplies
-        #: the zig-zag merge order of a block's token scans (cheapest
-        #: feedback-corrected list leads); attribute numbering -- and with it
+        #: the zig-zag merge order of a block's token scans (cheapest list
+        #: by document frequency leads); attribute numbering -- and with it
         #: every predicate binding -- follows input order regardless, so the
         #: plan can only redirect cursor traffic, never change results.
         self.physical = physical
@@ -141,8 +141,8 @@ class PPredEngine:
         tree: ops.PlanOperator
         if self.access_mode == FAST_MODE and len(inputs) > 1:
             # One n-ary zig-zag merge, rarest inverted list first (or the
-            # planner's feedback-corrected order when the plan covers this
-            # block's tokens).  Input order (and with it the attribute
+            # planner's join order when the plan covers this block's
+            # tokens).  Input order (and with it the attribute
             # numbering used by the predicate selections below) is unchanged.
             merge_order = self._planned_order(block, scans, inputs)
             if merge_order is None:

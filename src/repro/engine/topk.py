@@ -73,23 +73,11 @@ class TopKCollector:
     #: optimisation -- the query just degrades to score-everything + heap.
     GIVE_UP_AFTER = 1024
 
-    def __init__(
-        self,
-        k: int,
-        scoring: ScoringModel | None,
-        give_up_after: int | None = None,
-    ) -> None:
+    def __init__(self, k: int, scoring: ScoringModel | None) -> None:
         self.k = check_top_k(k)
         self.scoring = scoring
         self._heap: list[tuple[float, int]] = []
-        #: The give-up threshold is plan-selectable: the planner ships 0 for
-        #: queries whose bounds it already knows to be non-discriminating
-        #: (plain-heap strategy -- no bound probes at all), and ``None``
-        #: keeps the class default.  Results never depend on this knob.
-        self.give_up_after = (
-            self.GIVE_UP_AFTER if give_up_after is None else give_up_after
-        )
-        self._bounds_enabled = scoring is not None and self.give_up_after > 0
+        self._bounds_enabled = scoring is not None
         self._fruitless_checks = 0
         #: Nodes whose document score was actually computed / skipped via the
         #: upper-bound test -- the observability hook the benchmark reports.
@@ -121,7 +109,7 @@ class TopKCollector:
                 self._fruitless_checks = 0
                 return
             self._fruitless_checks += 1
-            if self._fruitless_checks >= self.give_up_after:
+            if self._fruitless_checks >= self.GIVE_UP_AFTER:
                 self._bounds_enabled = False
         score = self.scoring.document_score(node_id)
         self.scored += 1

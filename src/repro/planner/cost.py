@@ -1,8 +1,8 @@
 """The planner's cost model.
 
 Costs are measured in abstract *cursor operations* -- the same unit
-:class:`~repro.index.cursor.CursorStats` counts -- so runtime feedback can
-compare an estimate directly against the observed op count of the same
+:class:`~repro.index.cursor.CursorStats` counts -- so EXPLAIN ANALYZE can
+show an estimate directly next to the observed op count of the same
 query.  Two access patterns compete for a conjunction of posting lists:
 
 * **sequential merge** (the paper's algorithm): every list is walked end to
@@ -13,15 +13,13 @@ query.  Two access patterns compete for a conjunction of posting lists:
 
 The break-even point between the two is what the old static heuristic
 (``BoolEngine.ZIGZAG_SELECTIVITY_RATIO == 6``) hard-coded; here it falls
-out of the model, and per-token feedback corrections
-(:class:`~repro.planner.feedback.CostFeedback`) shift it per corpus at
-runtime.
+out of the model.
 """
 
 from __future__ import annotations
 
 from math import log2
-from typing import Callable, Sequence
+from typing import Sequence
 
 # One sequential ``next_entry`` step.  The unit of the whole model.
 SEQ_UNIT = 1.0
@@ -82,16 +80,3 @@ def merge_decision(
         return "zigzag", zig, seq
     return "sequential", seq, zig
 
-
-def corrected_counts(
-    tokens: Sequence[str],
-    df: Callable[[str], int],
-    correction: Callable[[str], float],
-) -> list[float]:
-    """Document frequencies with per-token feedback corrections applied.
-
-    ``df`` maps a token to its document frequency; ``correction`` maps it to
-    the feedback multiplier (1.0 when no observations exist).  The corrected
-    value is what the cost formulas above consume.
-    """
-    return [max(0.0, df(token)) * correction(token) for token in tokens]

@@ -3,22 +3,22 @@
 :class:`QueryPlanner` is the facade the executor and the scatter layer talk
 to.  Given a parsed query it produces a :class:`PhysicalPlan` deciding:
 
-* **join order** -- token posting lists sorted by feedback-corrected cost
+* **join order** -- token posting lists sorted by document frequency
   (cheapest leads), replacing the engines' static rarest-first order;
 * **merge strategy** -- zig-zag vs sequential by comparing modelled cursor
   ops (:mod:`repro.planner.cost`), replacing the static
   ``ZIGZAG_SELECTIVITY_RATIO`` threshold;
 * **access mode** -- upgrade paper → fast when the chosen strategy only
   exists on the fast path (the engines' algorithms are pinned
-  result-identical across modes, so this is score-neutral);
-* **top-k bound strategy** -- start with exact bound pruning unless
-  feedback remembers this canonical query giving up, in which case a plain
-  heap skips the fruitless bound probes.
+  result-identical across modes, so this is score-neutral).
 
-Plans are memoised per ``(canonical key, engine, mode, k?, scored?)`` and
-invalidated lazily when the feedback generation moves.  A memo hit is
-reported with provenance ``"cached"`` so telemetry can distinguish fresh
-planning work from reuse.
+Optimized plans are memoised per ``(canonical key, engine, access mode)``
+and reused for as long as the statistics they were costed from stay
+unchanged: forever on a static index, until the next mutation on a live one
+(the ``version`` callable), and through a rebuild on the sharded
+coordinator.  The memo keeps at most :data:`MEMO_CAPACITY` plans, evicting
+the oldest first.  A memo hit is reported with provenance ``"cached"`` so
+telemetry can distinguish fresh planning work from reuse.
 """
 
 from __future__ import annotations
@@ -29,24 +29,23 @@ from typing import Callable, Optional
 from repro.languages import ast
 from repro.planner import cost as cost_model
 from repro.planner import ir
-from repro.planner.feedback import CostFeedback
 from repro.planner.physical import (
-    BOUND_AUTO,
-    BOUND_BOUNDED,
-    BOUND_HEAP,
     MERGE_AUTO,
-    MERGE_SEQUENTIAL,
     MERGE_ZIGZAG,
     PhysicalPlan,
     TokenEstimate,
 )
 
 # Sentinel token name for the ANY posting list in join orders / estimates --
-# the same name ``IL_ANY`` cursors report, so observed per-token ops match
-# the estimates without translation.
+# the same name ``IL_ANY`` cursors report, so EXPLAIN rows match the
+# estimates without translation.
 from repro.index.inverted_index import ANY_TOKEN
 
 DfCallable = Callable[[Optional[str]], int]
+
+#: Most optimized plans one planner memoises; the oldest entry is evicted
+#: first, so a stream of distinct queries cannot grow the memo without bound.
+MEMO_CAPACITY = 4096
 
 
 class QueryPlanner:
@@ -57,13 +56,18 @@ class QueryPlanner:
     this with its index / scoring statistics, the scatter layer with the
     cluster's :class:`~repro.cluster.stats.AggregatedStatistics` -- so a
     coordinator plans once from global statistics and ships the same plan
-    to every shard.
+    to every shard.  ``version``, when given, returns the current data
+    version of those statistics (a live index's generation); the memo is
+    cleared whenever it changes.
     """
 
-    def __init__(self, df: DfCallable, feedback: CostFeedback | None = None) -> None:
+    def __init__(
+        self, df: DfCallable, version: "Callable[[], object] | None" = None
+    ) -> None:
         self._df = df
-        self.feedback = feedback if feedback is not None else CostFeedback()
-        self._memo: dict[tuple[str, str, str, bool, bool], PhysicalPlan] = {}
+        self._version = version
+        self._memo_version: object = None
+        self._memo: dict[tuple[str, str, str], PhysicalPlan] = {}
         self.plans_built = 0
         self.memo_hits = 0
 
@@ -81,8 +85,10 @@ class QueryPlanner:
     ) -> PhysicalPlan:
         """The physical plan for ``query`` under ``optimizer`` mode.
 
-        ``optimizer`` must be ``"on"`` or ``"static"`` (mode ``"off"`` means
-        "no planner" and callers skip planning entirely).
+        ``"off"`` returns a static plan whose choices all defer to the
+        engines' builtin heuristics; ``"on"`` returns a (memoised) optimized
+        plan.  ``top_k`` and ``scored`` are accepted for callers that
+        describe the execution they plan; no choice depends on them.
         """
         canonical = ir.canonical_key(query)
         if optimizer != "on":
@@ -94,39 +100,37 @@ class QueryPlanner:
                 provenance="static",
                 access_mode=access_mode,
             )
-        memo_key = (canonical, engine, access_mode, top_k is not None, scored)
-        cached = self._memo.get(memo_key)
-        if cached is not None and cached.feedback_generation == self.feedback.generation:
+        memo = self._memo
+        if self._version is not None:
+            version = self._version()
+            if version != self._memo_version:
+                memo.clear()
+                self._memo_version = version
+        memo_key = (canonical, engine, access_mode)
+        cached = memo.get(memo_key)
+        if cached is not None:
             self.memo_hits += 1
-            return replace(cached, provenance="cached")
+            return cached
         plan = self._optimize(
             query,
             canonical=canonical,
             engine=engine,
             language_class=language_class,
             access_mode=access_mode,
-            top_k=top_k,
-            scored=scored,
         )
-        self._memo[memo_key] = plan
+        if len(memo) >= MEMO_CAPACITY:
+            del memo[next(iter(memo))]
+        memo[memo_key] = replace(plan, provenance="cached")
         self.plans_built += 1
         return plan
 
-    # ------------------------------------------------------------- feedback
-    def observe(self, plan: PhysicalPlan, observed_token_ops: dict[str, float]) -> None:
-        """Fold one optimized query's observed cursor ops into the model."""
-        if plan.optimizer != "on":
-            return
-        self.feedback.observe_many(plan.estimated_token_ops(), observed_token_ops)
-
-    def record_give_up(self, plan: PhysicalPlan) -> None:
-        """Remember that this plan's query defeated bound pruning."""
-        self.feedback.record_give_up(plan.key)
-
     def summary(self) -> dict[str, object]:
-        payload = {"plans_built": self.plans_built, "memo_hits": self.memo_hits}
-        payload.update(self.feedback.summary())
-        return payload
+        """A snapshot for ``/stats`` and doctor output."""
+        return {
+            "plans_built": self.plans_built,
+            "memo_hits": self.memo_hits,
+            "memo_size": len(self._memo),
+        }
 
     # ------------------------------------------------------------ internals
     def _optimize(
@@ -137,8 +141,6 @@ class QueryPlanner:
         engine: str,
         language_class: str,
         access_mode: str,
-        top_k: int | None,
-        scored: bool,
     ) -> PhysicalPlan:
         decides: list[str] = []
         merge_strategy = MERGE_AUTO
@@ -170,16 +172,6 @@ class QueryPlanner:
             if join_order:
                 decides.append("join_order")
 
-        bound_strategy = BOUND_AUTO
-        give_up_after: int | None = None
-        if top_k is not None and scored:
-            if self.feedback.gave_up(canonical):
-                bound_strategy = BOUND_HEAP
-                give_up_after = 0
-            else:
-                bound_strategy = BOUND_BOUNDED
-            decides.append("bound_strategy")
-
         return PhysicalPlan(
             key=canonical,
             engine=engine,
@@ -188,72 +180,67 @@ class QueryPlanner:
             provenance="optimized",
             access_mode=chosen_mode,
             merge_strategy=merge_strategy,
-            bound_strategy=bound_strategy,
-            give_up_after=give_up_after,
             join_order=join_order,
             estimates=estimates,
             estimated_cost=estimated_cost,
-            feedback_generation=self.feedback.generation,
             decides=tuple(decides),
         )
 
-    def _corrected(self, token: str) -> tuple[int, float]:
-        df = self._df(None if token == ANY_TOKEN else token)
-        return df, max(0.0, df) * self.feedback.correction(token)
+    def _cheapest_first(self, tokens: list[str]) -> list[tuple[str, int]]:
+        """``(token, df)`` pairs, cheapest first.
+
+        Ties break on token text so the order is deterministic across
+        processes.
+        """
+        stats = [
+            (token, self._df(None if token == ANY_TOKEN else token))
+            for token in tokens
+        ]
+        stats.sort(key=lambda item: (item[1], item[0]))
+        return stats
+
+    @staticmethod
+    def _zigzag_estimates(
+        stats: list[tuple[str, int]],
+    ) -> tuple[TokenEstimate, ...]:
+        """The cheapest list leads sequentially; every other one is probed."""
+        lead = float(stats[0][1])
+        estimates = []
+        for position, (token, df) in enumerate(stats):
+            if position == 0:
+                role, ops = "lead", cost_model.SEQ_UNIT * df
+            else:
+                role, ops = "probe", cost_model.seek_cost(lead, float(df))
+            estimates.append(TokenEstimate(token, df, ops, role))
+        return tuple(estimates)
 
     def _plan_merge(
         self, tokens: list[str]
     ) -> tuple[str, tuple[str, ...], tuple[TokenEstimate, ...], float]:
         """Merge strategy + join order for a root conjunction's leaves."""
-        stats = [(token,) + self._corrected(token) for token in tokens]
-        # Cheapest (feedback-corrected) list leads; ties break on token text
-        # so the order is deterministic across processes.
-        stats.sort(key=lambda item: (item[2], item[0]))
-        counts = [corrected for _, _, corrected in stats]
-        strategy, chosen, _rejected = cost_model.merge_decision(counts)
-        estimates: list[TokenEstimate] = []
+        stats = self._cheapest_first(tokens)
+        strategy, chosen, _rejected = cost_model.merge_decision(
+            [float(df) for _, df in stats]
+        )
         if strategy == MERGE_ZIGZAG:
-            lead = counts[0]
-            for position, (token, df, corrected) in enumerate(stats):
-                if position == 0:
-                    role, ops = "lead", cost_model.SEQ_UNIT * corrected
-                else:
-                    role, ops = "probe", cost_model.seek_cost(lead, corrected)
-                estimates.append(TokenEstimate(token, df, corrected, ops, role))
+            estimates = self._zigzag_estimates(stats)
         else:
-            for token, df, corrected in stats:
-                estimates.append(
-                    TokenEstimate(
-                        token, df, corrected, cost_model.SEQ_UNIT * corrected, "scan"
-                    )
-                )
-        order = tuple(token for token, _, _ in stats)
-        return strategy, order, tuple(estimates), chosen
+            estimates = tuple(
+                TokenEstimate(token, df, cost_model.SEQ_UNIT * df, "scan")
+                for token, df in stats
+            )
+        order = tuple(token for token, _ in stats)
+        return strategy, order, estimates, chosen
 
     def _plan_positional(
         self, query: ast.QueryNode
     ) -> tuple[tuple[str, ...], tuple[TokenEstimate, ...], float | None]:
         """Join order for PPRED/NPRED: positive tokens, cheapest first."""
         tokens = sorted(ast.query_tokens(query))
-        if len(tokens) < 2:
-            if not tokens:
-                return (), (), None
-            df, corrected = self._corrected(tokens[0])
-            estimate = TokenEstimate(
-                tokens[0], df, corrected, cost_model.SEQ_UNIT * corrected, "lead"
-            )
-            return (), (estimate,), estimate.estimated_ops
-        stats = [(token,) + self._corrected(token) for token in tokens]
-        stats.sort(key=lambda item: (item[2], item[0]))
-        lead = stats[0][2]
-        estimates: list[TokenEstimate] = []
-        total = 0.0
-        for position, (token, df, corrected) in enumerate(stats):
-            if position == 0:
-                role, ops = "lead", cost_model.SEQ_UNIT * corrected
-            else:
-                role, ops = "probe", cost_model.seek_cost(lead, corrected)
-            estimates.append(TokenEstimate(token, df, corrected, ops, role))
-            total += ops
-        order = tuple(token for token, _, _ in stats)
-        return order, tuple(estimates), total
+        if not tokens:
+            return (), (), None
+        stats = self._cheapest_first(tokens)
+        estimates = self._zigzag_estimates(stats)
+        total = sum(estimate.estimated_ops for estimate in estimates)
+        order = tuple(token for token, _ in stats) if len(stats) >= 2 else ()
+        return order, estimates, total

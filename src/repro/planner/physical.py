@@ -1,10 +1,10 @@
 """The physical plan: one picklable artifact carrying every strategy choice.
 
 A :class:`PhysicalPlan` is what flows through the stack -- executor →
-engines → top-k collector → cache key → thread/process scatter workers →
-EXPLAIN.  Shipping the artifact (rather than re-deriving choices per shard)
-keeps every worker's decisions identical to the coordinator's, which is
-what makes the sharded/unsharded bit-identity invariant cheap to maintain.
+engines → thread/process scatter workers → EXPLAIN.  Shipping the artifact
+(rather than re-deriving choices per shard) keeps every worker's decisions
+identical to the coordinator's, which is what makes the sharded/unsharded
+bit-identity invariant cheap to maintain.
 
 Every field is a plain value so the plan pickles across the process-scatter
 boundary unchanged.
@@ -16,14 +16,11 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 # Strategy vocabulary.  "auto" defers to the engine's builtin static
-# heuristic -- it is what optimizer="static" plans carry, and makes "static"
+# heuristic -- it is what optimizer="off" plans carry, and makes "off"
 # behave exactly like the pre-planner code path.
 MERGE_AUTO = "auto"
 MERGE_ZIGZAG = "zigzag"
 MERGE_SEQUENTIAL = "sequential"
-BOUND_AUTO = "auto"
-BOUND_BOUNDED = "bounded"
-BOUND_HEAP = "heap"
 
 
 @dataclass(frozen=True)
@@ -32,7 +29,6 @@ class TokenEstimate:
 
     token: str
     document_frequency: int
-    corrected_cost: float
     estimated_ops: float
     role: str  # "lead" | "probe" | "scan"
 
@@ -40,7 +36,6 @@ class TokenEstimate:
         return {
             "token": self.token,
             "df": self.document_frequency,
-            "corrected_cost": round(self.corrected_cost, 3),
             "estimated_ops": round(self.estimated_ops, 3),
             "role": self.role,
         }
@@ -50,11 +45,10 @@ class TokenEstimate:
 class PhysicalPlan:
     """Strategy choices for one canonical query.
 
-    ``merge_strategy`` / ``bound_strategy`` of ``"auto"`` mean "whatever the
-    engine's builtin heuristic picks" -- the static plan.  Everything the
-    plan decides is score-neutral: join order and merge strategy change
-    which cursor operations run, never which node ids or scores come out,
-    and the bound strategy only controls *when* exact pruning is attempted.
+    ``merge_strategy`` of ``"auto"`` means "whatever the engine's builtin
+    heuristic picks" -- the static plan.  Everything the plan decides is
+    score-neutral: join order and merge strategy change which cursor
+    operations run, never which node ids or scores come out.
     """
 
     key: str
@@ -64,12 +58,9 @@ class PhysicalPlan:
     provenance: str  # "optimized" | "static" | "cached"
     access_mode: str
     merge_strategy: str = MERGE_AUTO
-    bound_strategy: str = BOUND_AUTO
-    give_up_after: int | None = None
     join_order: tuple[str, ...] = ()
     estimates: tuple[TokenEstimate, ...] = ()
     estimated_cost: float | None = None
-    feedback_generation: int = 0
     decides: tuple[str, ...] = field(default=())
 
     # ------------------------------------------------------- engine queries
@@ -105,10 +96,6 @@ class PhysicalPlan:
         return None
 
     # ------------------------------------------------------------ reporting
-    def estimated_token_ops(self) -> dict[str, float]:
-        """Per-token estimated op counts (for the feedback loop)."""
-        return {e.token: e.estimated_ops for e in self.estimates}
-
     def describe(self) -> dict[str, object]:
         """The plan section of EXPLAIN / slow-query log entries."""
         payload: dict[str, object] = {
@@ -119,10 +106,7 @@ class PhysicalPlan:
             "provenance": self.provenance,
             "access_mode": self.access_mode,
             "merge_strategy": self.merge_strategy,
-            "bound_strategy": self.bound_strategy,
         }
-        if self.give_up_after is not None:
-            payload["give_up_after"] = self.give_up_after
         if self.join_order:
             payload["join_order"] = list(self.join_order)
         if self.decides:

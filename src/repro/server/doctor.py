@@ -98,7 +98,7 @@ def check_optimizer() -> CheckResult:
     """Verify the planning layer imports and plans a probe query.
 
     Catches a broken install (missing planner package) before traffic does:
-    the default serving mode builds a plan artifact for every query.
+    both optimizer modes build a plan artifact for every non-COMP query.
     """
     try:
         from repro.planner import DEFAULT_OPTIMIZER, OPTIMIZER_MODES
@@ -120,7 +120,8 @@ def check_optimizer() -> CheckResult:
     return _ok(
         "optimizer",
         f"cost-based planner operational (modes: {', '.join(OPTIMIZER_MODES)}; "
-        f"default {DEFAULT_OPTIMIZER}; probe plan: {plan.merge_strategy} "
+        f"default {DEFAULT_OPTIMIZER}, builtin heuristics; 'on' memoises "
+        f"plans per canonical query; probe plan: {plan.merge_strategy} "
         f"merge)",
     )
 

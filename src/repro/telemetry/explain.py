@@ -120,8 +120,7 @@ def observed_ops(counts: dict) -> int:
     """The single observed op number compared against an estimate.
 
     Sums the op kinds the cost model prices (entry steps, position reads,
-    seeks, probes) -- the same recipe as the executor's feedback harvest, so
-    EXPLAIN and the feedback loop agree on what "observed cost" means.
+    seeks, probes), so each row's estimate and observation share one unit.
     """
     return (
         counts.get("next_entry_calls", 0)
@@ -223,7 +222,6 @@ def _render_plan(plan: "dict | None") -> "list[str]":
         f"plan: provenance={plan.get('provenance')} "
         f"optimizer={plan.get('optimizer')} "
         f"merge={plan.get('merge_strategy')} "
-        f"bound={plan.get('bound_strategy')} "
         f"access_mode={plan.get('access_mode')}"
     )
     if plan.get("join_order"):

@@ -46,7 +46,7 @@ TOPK_GIVEUPS_TOTAL = REGISTRY.counter(
 PLANS_TOTAL = REGISTRY.counter(
     "repro_plans_total",
     "Physical plans used per query, by provenance: freshly cost-optimized, "
-    "static (optimizer deferring to builtin heuristics), or served from the "
+    "static (optimizer off: builtin heuristics), or served from the "
     "planner's memo.",
     ("source",),
 )

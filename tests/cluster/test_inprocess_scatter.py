@@ -49,6 +49,7 @@ from repro.languages import ast
 SHARD_COUNTS = (1, 2, 4, 7)
 MAX_WORKERS = (None, 1, 2, 8)
 TOP_KS = (None, 5)
+OPTIMIZERS = ("off", "on")
 
 
 @pytest.fixture(scope="module")
@@ -256,10 +257,13 @@ def classifications(monkeypatch) -> list:
     return calls
 
 
+@pytest.mark.parametrize("optimizer", OPTIMIZERS)
 def test_a_multi_shard_miss_classifies_once_and_a_hit_never(
-    corpus, queries, classifications
+    corpus, queries, classifications, optimizer
 ):
-    cluster = ScatterGatherExecutor(ShardedIndex(corpus, 4), scoring="tfidf")
+    cluster = ScatterGatherExecutor(
+        ShardedIndex(corpus, 4), scoring="tfidf", optimizer=optimizer
+    )
     try:
         for expected, query in enumerate(queries, start=1):
             assert not cluster.execute(query, top_k=5).from_cache
@@ -289,7 +293,7 @@ def test_a_batch_classifies_each_scheduled_query_once(corpus, queries, classific
         cluster.close()
 
 
-@pytest.mark.parametrize("optimizer", ["static", "on", "off"])
+@pytest.mark.parametrize("optimizer", OPTIMIZERS)
 @pytest.mark.parametrize("shards", [1, 4])
 def test_forced_engine_misuse_raises(corpus, queries, shards, optimizer):
     positive = queries[1]  # a PPRED query: the bool engine cannot run it

@@ -227,12 +227,62 @@ def test_cleanup_registered_spools_sweeps_leaked_directories():
         executor.close()  # still safe after the sweep
 
 
-def test_sigterm_removes_spool_directory(tmp_path):
-    """A SIGTERM'd process must not leak its packed spool files."""
+def _alive(pid: int) -> bool:
+    import os
+
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+def test_pool_is_registered_while_open_and_unregistered_on_close():
+    from repro.cluster import scatter
+
+    executor = ScatterGatherExecutor(
+        ShardedIndex(_collection(), 2), cache_size=None, workers="process"
+    )
+    try:
+        executor.execute(parse_query("'software'").node)
+        pool = executor._process_pool
+        assert pool in scatter._LIVE_POOLS
+    finally:
+        executor.close()
+    assert pool not in scatter._LIVE_POOLS
+
+
+def test_terminate_registered_pools_reaps_the_workers():
+    from repro.cluster import scatter
+
+    executor = ScatterGatherExecutor(
+        ShardedIndex(_collection(), 2), cache_size=None, workers="process"
+    )
+    try:
+        executor.execute(parse_query("'software'").node)
+        workers = list(executor._process_pool._processes)
+        assert workers and all(_alive(pid) for pid in workers)
+        # Exactly what the SIGTERM handler runs after sweeping the spools.
+        # (Checked by pid: the pool's own manager thread may reap a worker
+        # first, which makes ``Process.is_alive`` briefly unreliable.)
+        scatter.terminate_registered_pools()
+        assert not any(_alive(pid) for pid in workers)
+        assert executor._process_pool not in scatter._LIVE_POOLS
+    finally:
+        executor.close()  # still safe after the sweep
+
+
+def _sigterm_child(spool_dir=None):
+    """Run a process-scatter child, SIGTERM it, and report what survived.
+
+    Returns ``(returncode, spool, survivors)``: the child's exit status, its
+    spool directory and the worker pids still alive afterwards.
+    """
     import os
     import signal
     import subprocess
     import sys
+    import time
     from pathlib import Path
 
     script = """
@@ -246,30 +296,63 @@ collection = Collection.from_texts([
     "software measures task completion",
 ], name="sigterm-spool")
 executor = ScatterGatherExecutor(
-    ShardedIndex(collection, 2), cache_size=None, workers="process"
+    ShardedIndex(collection, 2), cache_size=None, workers="process",
+    spool_dir=sys.argv[1] if len(sys.argv) > 1 else None,
 )
 executor.execute(parse_query("'software'").node)
 print(executor._spool_root, flush=True)
+print(" ".join(str(pid) for pid in executor._process_pool._processes), flush=True)
 while True:
     time.sleep(0.1)
 """
     repo_src = str(Path(__file__).resolve().parents[2] / "src")
     env = dict(os.environ, PYTHONPATH=repo_src, PYTHONUNBUFFERED="1")
+    arguments = [str(spool_dir)] if spool_dir is not None else []
     proc = subprocess.Popen(
-        [sys.executable, "-c", script],
+        [sys.executable, "-c", script, *arguments],
         env=env,
         stdout=subprocess.PIPE,
         stderr=subprocess.DEVNULL,
         text=True,
     )
+    workers: list[int] = []
     try:
         spool = Path(proc.stdout.readline().strip())
+        workers = [int(pid) for pid in proc.stdout.readline().split()]
         assert spool.exists()
+        assert workers and all(_alive(pid) for pid in workers)
         proc.send_signal(signal.SIGTERM)
         proc.wait(timeout=30)
+        deadline = time.monotonic() + 5
+        while any(_alive(pid) for pid in workers) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        survivors = [pid for pid in workers if _alive(pid)]
     finally:
         if proc.poll() is None:
             proc.kill()
             proc.wait()
-    assert proc.returncode == -signal.SIGTERM  # conventional termination
+        for pid in workers:  # never leave orphans behind, even on failure
+            if _alive(pid):
+                os.kill(pid, signal.SIGKILL)
+    return proc.returncode, spool, survivors
+
+
+def test_sigterm_removes_spool_directory():
+    """A SIGTERM'd process must not leak its spool files or its workers."""
+    import signal
+
+    returncode, spool, survivors = _sigterm_child()
+    assert returncode == -signal.SIGTERM  # conventional termination
     assert not spool.exists()
+    assert survivors == []  # the pool's workers died with their parent
+
+
+def test_sigterm_stops_workers_of_a_caller_owned_spool(tmp_path):
+    """No spool is registered for a caller-owned directory, but the pool
+    still is: its workers must not outlive a SIGTERM'd parent either."""
+    import signal
+
+    returncode, spool, survivors = _sigterm_child(spool_dir=tmp_path)
+    assert returncode == -signal.SIGTERM
+    assert spool == tmp_path and spool.exists()  # the caller's, so kept
+    assert survivors == []

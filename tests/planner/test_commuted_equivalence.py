@@ -25,7 +25,10 @@ def ranking(results):
     return [(r.node_id, r.score) for r in results]
 
 
-@pytest.mark.parametrize("optimizer", ["off", "static", "on"])
+OPTIMIZERS = ["off", "on"]
+
+
+@pytest.mark.parametrize("optimizer", OPTIMIZERS)
 def test_commuted_queries_return_bit_identical_rankings(
     small_synthetic, optimizer
 ):
@@ -39,7 +42,7 @@ def test_commuted_queries_return_bit_identical_rankings(
     engine.close()
 
 
-@pytest.mark.parametrize("optimizer", ["off", "static", "on"])
+@pytest.mark.parametrize("optimizer", OPTIMIZERS)
 def test_commuted_queries_share_one_result_cache_entry(
     small_synthetic, optimizer
 ):

@@ -13,7 +13,6 @@ import pytest
 from repro.engine.bool_engine import BoolEngine
 from repro.planner.cost import (
     SEQ_UNIT,
-    corrected_counts,
     merge_decision,
     seek_cost,
     sequential_cost,
@@ -79,18 +78,12 @@ def test_equal_lists_prefer_sequential():
     assert strategy == "sequential"
 
 
-# ---------------------------------------------------------------- correction
-def test_corrected_counts_apply_per_token_multipliers():
-    df = {"a": 100, "b": 400}.__getitem__
-    correction = {"a": 2.0, "b": 0.5}.__getitem__
-    assert corrected_counts(["a", "b"], df, correction) == [200.0, 200.0]
-
-
+# ------------------------------------------------------------------- scaling
 def test_corrections_scale_costs_but_cannot_flip_a_two_list_decision_alone():
-    """A uniform correction multiplies both strategies' costs equally.
+    """Scaling every list by one factor scales both strategies' costs.
 
-    This is why the break-even constant must be calibrated rather than
-    learned: feedback shifts *levels*, the constant decides the *shape*.
+    This is why the break-even constant is calibrated once: a bigger corpus
+    shifts cost *levels*, the constant decides the *shape*.
     """
     base = [250.0, 1000.0]
     scaled = [count * 3.0 for count in base]

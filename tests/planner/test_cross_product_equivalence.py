@@ -1,6 +1,6 @@
 """The optimizer invariant, pinned across the whole configuration space.
 
-Turning the optimizer on, off, or static must never change a returned byte:
+Turning the optimizer on or off must never change a returned byte:
 node ids, scores and order are bit-identical under every combination of
 query class, access mode, scoring model, shard count, index tier and
 worker pool.  A hypothesis search samples the static-index cross-product
@@ -22,7 +22,7 @@ QUERIES = workload_queries(
     list(DEFAULT_QUERY_TOKENS), num_tokens=3, num_predicates=2
 )
 
-OPTIMIZERS = ["off", "static", "on"]
+OPTIMIZERS = ["off", "on"]
 SERIES = sorted(QUERIES)
 ACCESS_MODES = ["paper", "fast"]
 SCORINGS = ["tfidf", "probabilistic"]
@@ -74,7 +74,7 @@ def test_optimizer_never_changes_a_returned_byte(
     engines, optimizer, series, access_mode, scoring, shards, top_k
 ):
     query = QUERIES[series]
-    # Reference: no planner, single shard, paper-faithful cursors -- the
+    # Reference: builtin heuristics, single shard, paper-faithful cursors -- the
     # seed configuration every optimization must reproduce exactly.
     reference = engines("off", "paper", scoring, 1).search(query, top_k=top_k)
     candidate = engines(optimizer, access_mode, scoring, shards).search(

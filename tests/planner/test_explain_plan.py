@@ -2,7 +2,7 @@
 
 The acceptance contract for the planning layer's observability: an
 ``EXPLAIN ANALYZE`` run shows what the optimizer chose (join order, merge
-strategy, access mode, bound strategy), where the plan came from
+strategy, access mode), where the plan came from
 (``optimized`` / ``cached`` / ``static``), and -- per operator -- the cost
 model's estimated op count next to the observed ``CursorStats`` count.
 """
@@ -66,8 +66,8 @@ def test_explain_operator_rows_pair_estimates_with_observations(
             row = rows[token]
             assert row["estimated_ops"] > 0
             assert row["planned_role"] in ("lead", "probe")
-            # observed_ops is the recipe the feedback loop divides by the
-            # estimate -- it must equal the row's own counts.
+            # observed_ops is what the estimate is compared against -- it
+            # must equal the row's own counts.
             assert row["observed_ops"] == observed_ops(row["counts"])
             assert row["observed_ops"] > 0
     finally:
@@ -75,46 +75,31 @@ def test_explain_operator_rows_pair_estimates_with_observations(
 
 
 def test_repeated_explains_converge_to_cached_provenance(skewed_collection):
-    """Feedback can re-plan while corrections settle, then the memo serves.
-
-    The first run is always ``optimized``; the next few may re-optimize
-    (each observation that moves a correction materially bumps the
-    generation), but the EWMA converges, after which every run is a
-    ``cached`` memo hit with the same choices.
-    """
+    """The first run is ``optimized``; every later run is a ``cached`` memo
+    hit with the same choices -- nothing on a static index invalidates it."""
     engine = make_engine(skewed_collection)
     try:
         first = engine.search(QUERY, explain=True)
         assert first.metadata["explain"]["plan"]["provenance"] == "optimized"
-        for _ in range(8):
-            last = engine.search(QUERY, explain=True)
-        plan = last.metadata["explain"]["plan"]
-        assert plan["provenance"] == "cached"
-        # Same choices either way -- a memo hit replays, never re-decides.
-        assert plan["join_order"] == first.metadata["explain"]["plan"]["join_order"]
+        for _ in range(3):
+            plan = engine.search(QUERY, explain=True).metadata["explain"]["plan"]
+            assert plan["provenance"] == "cached"
+            # A memo hit replays, never re-decides.
+            assert plan["join_order"] == first.metadata["explain"]["plan"]["join_order"]
     finally:
         engine.close()
 
 
-def test_static_mode_reports_static_provenance_and_auto_choices(
+def test_off_mode_reports_static_provenance_and_auto_choices(
     skewed_collection,
 ):
-    engine = make_engine(skewed_collection, optimizer="static")
+    engine = make_engine(skewed_collection, optimizer="off")
     try:
         plan = engine.search(QUERY, explain=True).metadata["explain"]["plan"]
         assert plan["provenance"] == "static"
+        assert plan["optimizer"] == "off"
         assert plan["merge_strategy"] == "auto"
-        assert plan["bound_strategy"] == "auto"
         assert "join_order" not in plan
-    finally:
-        engine.close()
-
-
-def test_optimizer_off_omits_the_plan_section(skewed_collection):
-    engine = make_engine(skewed_collection, optimizer="off")
-    try:
-        payload = engine.search(QUERY, explain=True).metadata["explain"]
-        assert "plan" not in payload
     finally:
         engine.close()
 

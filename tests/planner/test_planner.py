@@ -1,14 +1,12 @@
-"""QueryPlanner behaviour: plan contents, memoisation, feedback invalidation."""
+"""QueryPlanner behaviour: plan contents, memoisation, memo invalidation."""
 
 from __future__ import annotations
 
 from repro.core.query import parse_query
 from repro.index.inverted_index import ANY_TOKEN
-from repro.planner.optimizer import QueryPlanner
+from repro.languages import ast
+from repro.planner.optimizer import MEMO_CAPACITY, QueryPlanner
 from repro.planner.physical import (
-    BOUND_AUTO,
-    BOUND_BOUNDED,
-    BOUND_HEAP,
     MERGE_AUTO,
     MERGE_SEQUENTIAL,
     MERGE_ZIGZAG,
@@ -19,16 +17,18 @@ def parse(text: str):
     return parse_query(text).node
 
 
-def make_planner(dfs: dict, node_count: int = 1000) -> QueryPlanner:
+def make_planner(dfs: dict, node_count: int = 1000, version=None) -> QueryPlanner:
     return QueryPlanner(
-        lambda token: node_count if token is None else dfs.get(token, 0)
+        lambda token: node_count if token is None else dfs.get(token, 0),
+        version=version,
     )
 
 
 def plan(planner, text, *, optimizer="on", engine="bool", top_k=None,
          scored=False, access_mode="paper"):
+    query = parse(text) if isinstance(text, str) else text
     return planner.plan(
-        parse(text),
+        query,
         engine=engine,
         language_class="BOOL",
         optimizer=optimizer,
@@ -39,13 +39,14 @@ def plan(planner, text, *, optimizer="on", engine="bool", top_k=None,
 
 
 # -------------------------------------------------------------- static plans
-def test_static_mode_defers_every_choice_to_the_engine():
+def test_off_mode_defers_every_choice_to_the_engine():
     planner = make_planner({"a": 10, "b": 1000})
-    artifact = plan(planner, "'a' AND 'b'", optimizer="static")
+    artifact = plan(planner, "'a' AND 'b'", optimizer="off")
     assert artifact.provenance == "static"
+    assert artifact.optimizer == "off"
     assert artifact.merge_strategy == MERGE_AUTO
-    assert artifact.bound_strategy == BOUND_AUTO
     assert artifact.join_order == ()
+    assert artifact.access_mode == "paper"
     assert planner.plans_built == 0  # static artifacts are not memoised work
 
 
@@ -105,68 +106,72 @@ def test_commuted_queries_share_one_memo_entry():
     assert planner.memo_hits == 1
 
 
-def test_generation_bump_invalidates_memoised_plans():
-    planner = make_planner({"rare": 10, "common": 1000})
-    first = plan(planner, "'rare' AND 'common'")
-    planner.feedback.record_give_up("some other query")  # bumps generation
-    replanned = plan(planner, "'rare' AND 'common'")
-    assert replanned.provenance == "optimized"  # memo entry was stale
-    assert replanned.feedback_generation > first.feedback_generation
+def test_the_memo_keys_on_engine_and_access_mode():
+    planner = make_planner({"a": 100, "b": 150})
+    plan(planner, "'a' AND 'b'")
+    assert plan(planner, "'a' AND 'b'", access_mode="fast").provenance == "optimized"
+    assert plan(planner, "'a' AND 'b'", engine="npred").provenance == "optimized"
+    assert planner.plans_built == 3
+
+
+def test_top_k_and_scoring_share_one_memo_entry():
+    planner = make_planner({"a": 100, "b": 150})
+    plan(planner, "'a' AND 'b'")
+    assert plan(planner, "'a' AND 'b'", top_k=5, scored=True).provenance == "cached"
+    assert planner.plans_built == 1
+
+
+def test_a_version_change_clears_the_memo_and_recosts():
+    dfs = {"a": 10, "b": 1000}
+    version = [0]
+    planner = make_planner(dfs, version=lambda: version[0])
+    first = plan(planner, "'a' AND 'b'")
+    assert plan(planner, "'a' AND 'b'").provenance == "cached"
+    dfs["a"] = 5000  # the statistics move with the data version
+    version[0] += 1
+    replanned = plan(planner, "'a' AND 'b'")
+    assert replanned.provenance == "optimized"
+    assert first.join_order == ("a", "b")
+    assert replanned.join_order == ("b", "a")
     assert planner.plans_built == 2
 
 
-# ------------------------------------------------------------------ feedback
-def test_observed_ops_shift_the_join_order():
-    # Model thinks 'a' is the cheaper list...
-    planner = make_planner({"a": 100, "b": 150})
-    first = plan(planner, "'a' AND 'b'")
-    assert first.join_order[0] == "a"
-    # ...but observation says cursors over 'a' cost ~8x the estimate.
-    estimated = first.estimated_token_ops()
-    planner.observe(first, {"a": estimated["a"] * 8.0, "b": estimated["b"]})
-    replanned = plan(planner, "'a' AND 'b'")
-    assert replanned.provenance == "optimized"  # generation moved
-    assert replanned.join_order[0] == "b"
+def test_without_a_version_the_memo_never_goes_stale():
+    dfs = {"a": 10, "b": 1000}
+    planner = make_planner(dfs)
+    plan(planner, "'a' AND 'b'")
+    dfs["a"] = 5000
+    for _ in range(3):
+        assert plan(planner, "'a' AND 'b'").provenance == "cached"
+    assert planner.plans_built == 1
 
 
-def test_observe_ignores_non_optimized_plans():
-    planner = make_planner({"a": 100, "b": 150})
-    artifact = plan(planner, "'a' AND 'b'", optimizer="static")
-    planner.observe(artifact, {"a": 1e6, "b": 1e6})
-    assert planner.feedback.summary()["tokens_corrected"] == 0
-
-
-# ------------------------------------------------------------ bound strategy
-def test_scored_top_k_starts_with_bound_pruning():
-    planner = make_planner({"a": 100, "b": 150})
-    artifact = plan(planner, "'a' AND 'b'", top_k=5, scored=True)
-    assert artifact.bound_strategy == BOUND_BOUNDED
-
-
-def test_a_recorded_give_up_switches_to_the_plain_heap():
-    planner = make_planner({"a": 100, "b": 150})
-    first = plan(planner, "'a' AND 'b'", top_k=5, scored=True)
-    planner.record_give_up(first)
-    replanned = plan(planner, "'b' AND 'a'", top_k=5, scored=True)
-    assert replanned.bound_strategy == BOUND_HEAP  # canonical key matched
-    assert replanned.give_up_after == 0
-
-
-def test_unscored_or_unbounded_queries_leave_bounds_alone():
-    planner = make_planner({"a": 100, "b": 150})
-    assert plan(planner, "'a' AND 'b'").bound_strategy == BOUND_AUTO
-    assert (
-        plan(planner, "'a' AND 'b'", top_k=5, scored=False).bound_strategy
-        == BOUND_AUTO
-    )
+def test_the_memo_is_capped_and_evicts_oldest_first():
+    planner = make_planner({})
+    queries = [
+        ast.AndQuery(ast.TokenQuery(f"t{i}"), ast.TokenQuery(f"u{i}"))
+        for i in range(MEMO_CAPACITY + 1000)
+    ]
+    first = plan(planner, queries[0])
+    for query in queries[1:]:
+        plan(planner, query)
+    assert planner.summary()["memo_size"] <= MEMO_CAPACITY
+    assert planner.plans_built == len(queries)
+    # The newest entries survive; the oldest were evicted and re-plan to an
+    # identical artifact.
+    assert plan(planner, queries[-1]).provenance == "cached"
+    replanned = plan(planner, queries[0])
+    assert replanned.provenance == "optimized"
+    assert replanned == first
+    assert planner.plans_built == len(queries) + 1
 
 
 # --------------------------------------------------------------------- stats
-def test_summary_merges_planner_and_feedback_counters():
+def test_summary_reports_plans_built_and_memo_hits():
     planner = make_planner({"a": 100, "b": 150})
     plan(planner, "'a' AND 'b'")
     plan(planner, "'b' AND 'a'")
     summary = planner.summary()
     assert summary["plans_built"] == 1
     assert summary["memo_hits"] == 1
-    assert "generation" in summary
+    assert summary["memo_size"] == 1

@@ -114,4 +114,5 @@ def test_optimizer_check_reports_planner_health():
     optimizer = by_check["optimizer"]
     assert optimizer.status == "ok"
     assert "cost-based planner operational" in optimizer.detail
-    assert "off" in optimizer.detail and "static" in optimizer.detail
+    assert "modes: on, off" in optimizer.detail
+    assert "static" not in optimizer.detail

@@ -223,7 +223,7 @@ def test_stats_reports_optimizer_mode_and_planner_counters(server_collection):
     optimizer = stats["engine"]["optimizer"]
     assert optimizer["mode"] == "on"
     assert optimizer["plans_built"] >= 1
-    assert "generation" in optimizer
+    assert "memo_hits" in optimizer
 
 
 def test_metrics_count_plans_by_provenance(server_collection):

@@ -1,4 +1,4 @@
-"""Experiment harness: workloads, figure sweeps, perf observatory, replay."""
+"""Experiment harness: workloads, figure and ablation sweeps, replay."""
 
 from repro.bench.capture import (
     WorkloadCapture,
@@ -21,6 +21,8 @@ from repro.bench.complexity import (
 from repro.bench.figures import (
     ALL_FIGURES,
     FigureScale,
+    ablation_npred_orders,
+    ablation_scoring,
     figure5,
     figure6,
     figure7,
@@ -33,17 +35,6 @@ from repro.bench.harness import (
     ExperimentPoint,
     ExperimentTable,
     Measurement,
-)
-from repro.bench.perf import (
-    SuiteRun,
-    Timing,
-    available_suites,
-    compare_results,
-    env_fingerprint,
-    register_suite,
-    render_comparison,
-    run_suites,
-    time_call,
 )
 from repro.bench.replay import (
     EngineTarget,
@@ -79,6 +70,8 @@ __all__ = [
     "ppred_bound",
     "ALL_FIGURES",
     "FigureScale",
+    "ablation_npred_orders",
+    "ablation_scoring",
     "figure5",
     "figure6",
     "figure7",
@@ -104,15 +97,6 @@ __all__ = [
     "load_workload",
     "query_pool_from_collection",
     "synthetic_zipf_workload",
-    "SuiteRun",
-    "Timing",
-    "available_suites",
-    "compare_results",
-    "env_fingerprint",
-    "register_suite",
-    "render_comparison",
-    "run_suites",
-    "time_call",
     "EngineTarget",
     "HttpTarget",
     "render_replay_report",

@@ -6,10 +6,10 @@ parameters of Section 5.1.2 (``cnodes``, ``pos_per_cnode``,
 ``entries_per_token``, ``pos_per_entry``) and the query-size parameters
 (``toks_Q``, ``preds_Q``, ``ops_Q``).
 
-These formulas are used by the Figure 3 benchmark to check that the
-*measured* scaling of each engine stays within the shape of its bound (e.g.
+:func:`hierarchy_table` evaluates them for ``repro experiment --figure 3``
+and ``repro info``; the measured Figures 5--8 show the same shapes (e.g.
 PPRED grows linearly in ``pos_per_entry`` while COMP grows polynomially in
-``pos_per_cnode``), and by :func:`hierarchy_table` to print the hierarchy.
+``pos_per_cnode``).
 """
 
 from __future__ import annotations

@@ -1,9 +1,16 @@
-"""Parameter sweeps regenerating the paper's Figures 5--8.
+"""Parameter sweeps regenerating the paper's Figures 5--8 and the ablations.
 
 Each ``figureN`` function builds the synthetic INEX-like collection(s) for the
 sweep, runs the series of Section 6 through the
 :class:`~repro.bench.harness.ExperimentHarness`, and returns an
 :class:`~repro.bench.harness.ExperimentTable` whose rows mirror the figure.
+
+Two design ablations are tables of the same kind: NPRED evaluation threads
+over the necessary orders only vs every total order
+(:func:`ablation_npred_orders`), and the cost of score propagation
+(:func:`ablation_scoring`).  The third ablation -- PPRED's advance hints
+against COMP's materialisation -- is Figure 8's PPRED-POS vs COMP-POS
+columns and needs no table of its own.
 
 Scale: the paper uses the 500 MB INEX collection (default 6000 context nodes,
 query tokens with up to 25/125 positions per entry).  A pure-Python naive
@@ -22,7 +29,14 @@ from typing import Sequence
 
 from repro.corpus.synthetic import DEFAULT_QUERY_TOKENS, generate_inex_like_collection
 from repro.index.inverted_index import InvertedIndex
-from repro.bench.harness import SERIES, ExperimentHarness, ExperimentTable
+from repro.scoring.base import get_model
+from repro.bench.harness import (
+    SERIES,
+    ExperimentHarness,
+    ExperimentPoint,
+    ExperimentTable,
+)
+from repro.bench.workload import workload_queries
 
 
 @dataclass(frozen=True)
@@ -164,6 +178,60 @@ def figure8(scale: FigureScale | None = None, series: Sequence[str] = SERIES) ->
                 series,
             )
         )
+    return table
+
+
+def ablation_npred_orders(scale: FigureScale | None = None) -> ExperimentTable:
+    """NPRED threads over the necessary orders only vs every total order.
+
+    One ``not_distance`` over the first two of 2, 3 and 4 query tokens: the
+    other tokens take part in no predicate, which is where generating only
+    the necessary orders (the paper's implementation) beats ``toks_Q!``.
+    """
+    scale = scale or FigureScale.laptop()
+    index = InvertedIndex(scale.collection())
+    harnesses = {
+        f"NPRED-{orders}": ExperimentHarness(
+            index, repeats=scale.repeats, npred_orders=orders
+        )
+        for orders in ("minimal", "all")
+    }
+    table = ExperimentTable("Ablation: NPRED orders (minimal vs all)", "query tokens")
+    for num_tokens in (2, 3, 4):
+        query = workload_queries(scale.query_tokens, num_tokens, 1)["NEGATIVE"]
+        point = ExperimentPoint(num_tokens)
+        for series, harness in harnesses.items():
+            measurement = harness.time_engine("npred", query)
+            measurement.series = series
+            point.measurements[series] = measurement
+        table.points.append(point)
+    return table
+
+
+def ablation_scoring(scale: FigureScale | None = None) -> ExperimentTable:
+    """Score propagation overhead: unscored vs TF-IDF vs probabilistic.
+
+    BOOL runs the keyword query, COMP the positive-predicate query, both at
+    the scale's default token and predicate counts.
+    """
+    scale = scale or FigureScale.laptop()
+    index = InvertedIndex(scale.collection())
+    queries = workload_queries(
+        scale.query_tokens, scale.default_tokens, scale.default_predicates
+    )
+    table = ExperimentTable("Ablation: scoring overhead", "scoring")
+    for model in ("unscored", "tfidf", "probabilistic"):
+        scoring = None if model == "unscored" else get_model(model, index.statistics)
+        harness = ExperimentHarness(index, repeats=scale.repeats, scoring=scoring)
+        point = ExperimentPoint(model)
+        for series, engine_name, query in (
+            ("BOOL", "bool", queries["BOOL"]),
+            ("COMP-POS", "comp", queries["POSITIVE"]),
+        ):
+            measurement = harness.time_engine(engine_name, query)
+            measurement.series = series
+            point.measurements[series] = measurement
+        table.points.append(point)
     return table
 
 

@@ -34,6 +34,7 @@ from repro.exceptions import WorkloadError
 from repro.index.inverted_index import InvertedIndex
 from repro.languages import ast
 from repro.model.predicates import PredicateRegistry, default_registry
+from repro.scoring.base import ScoringModel
 from repro.bench.workload import workload_queries
 
 #: The series of the paper's figures, in plot order.
@@ -102,7 +103,11 @@ class ExperimentTable:
 
 
 class ExperimentHarness:
-    """Run the paper's series against one index."""
+    """Run the paper's series against one index.
+
+    ``scoring`` is handed to the engines that propagate scores (BOOL and
+    COMP); PPRED and NPRED return node ids only.
+    """
 
     def __init__(
         self,
@@ -111,6 +116,7 @@ class ExperimentHarness:
         repeats: int = 1,
         npred_orders: str = "minimal",
         access_mode: str = "paper",
+        scoring: ScoringModel | None = None,
     ) -> None:
         if repeats < 1:
             raise WorkloadError("repeats must be at least 1")
@@ -119,6 +125,7 @@ class ExperimentHarness:
         self.repeats = repeats
         self.npred_orders = npred_orders
         self.access_mode = access_mode
+        self.scoring = scoring
 
     # ------------------------------------------------------------------ API
     def time_engine(self, engine_name: str, query: ast.QueryNode) -> Measurement:
@@ -172,7 +179,9 @@ class ExperimentHarness:
     # ------------------------------------------------------------- internals
     def _evaluator(self, engine_name: str):
         if engine_name == "bool":
-            return BoolEngine(self.index, access_mode=self.access_mode).evaluate
+            return BoolEngine(
+                self.index, scoring=self.scoring, access_mode=self.access_mode
+            ).evaluate
         if engine_name == "ppred":
             return PPredEngine(
                 self.index, self.registry, access_mode=self.access_mode
@@ -185,5 +194,7 @@ class ExperimentHarness:
                 access_mode=self.access_mode,
             ).evaluate
         if engine_name == "comp":
-            return NaiveCompEngine(self.index, self.registry).evaluate
+            return NaiveCompEngine(
+                self.index, self.registry, scoring=self.scoring
+            ).evaluate
         raise WorkloadError(f"unknown engine {engine_name!r}")

@@ -4,7 +4,7 @@ The paper presents its results as line plots; here the same data is printed
 as aligned text tables (one row per x-axis value, one column per series) plus
 a short "shape check" summarising the qualitative claims of Section 6.1:
 BOOL ≼ PPRED ≼ NPRED ≼ COMP, PPRED ≈ BOOL, NPRED < COMP on negative
-predicates.
+predicates, and minimal NPRED orders ≼ all orders.
 """
 
 from __future__ import annotations
@@ -83,6 +83,13 @@ def shape_summary(table: ExperimentTable) -> list[str]:
         # (one permutation thread each); allow generous noise headroom.
         ("PPRED-POS is comparable to NPRED-POS", "PPRED-POS", "NPRED-POS", 4.0),
         ("NPRED-NEG is never slower than COMP-NEG", "NPRED-NEG", "COMP-NEG", 1.5),
+        # The NPRED-orders ablation: necessary orders only vs every order.
+        (
+            "NPRED-minimal is never slower than NPRED-all",
+            "NPRED-minimal",
+            "NPRED-all",
+            1.5,
+        ),
     ]
     lines = []
     for description, fast, slow, tolerance in claims:

@@ -30,11 +30,8 @@ The CLI exposes the typical lifecycle of the library without writing Python:
   index, optionally interleaving queries to measure serving under ingest;
 * ``repro segment-stats`` -- per-segment sizes and tombstone counts of a live
   index (a saved collection or a persisted live-index directory);
-* ``repro experiment``  -- regenerate the paper's figures as text tables;
-* ``repro bench``       -- the performance observatory: ``bench run`` executes
-  registered suites through the shared min-of-N timing core and writes
-  machine-readable ``BENCH_<suite>.json`` results; ``bench compare`` diffs
-  two result sets and exits non-zero on regression (the CI perf gate);
+* ``repro experiment``  -- regenerate the paper's Figure 3, Figures 5--8 and
+  the design ablations as text tables;
 * ``repro replay``      -- drive a captured (``serve-http --capture``) or
   synthetic zipfian workload against an engine or a live HTTP endpoint,
   with explicit cache-warming phases, results verified bit-identical to
@@ -54,7 +51,13 @@ from typing import Sequence
 
 from repro import __version__
 from repro.bench.complexity import QueryParameters, hierarchy_table
-from repro.bench.figures import ALL_FIGURES, FigureScale, run_all
+from repro.bench.figures import (
+    ALL_FIGURES,
+    FigureScale,
+    ablation_npred_orders,
+    ablation_scoring,
+    run_all,
+)
 from repro.bench.reporting import render_report, shape_summary, table_to_text
 from repro.cluster import ShardedIndex, balance_report
 from repro.core.engine import FullTextEngine
@@ -383,55 +386,6 @@ def build_argument_parser() -> argparse.ArgumentParser:
         help="socket timeout for the scrape (default: 10)",
     )
 
-    bench_cmd = subparsers.add_parser(
-        "bench",
-        help="the performance observatory: run benchmark suites, compare "
-        "BENCH_*.json results",
-    )
-    bench_sub = bench_cmd.add_subparsers(dest="bench_command", required=True)
-    bench_run_cmd = bench_sub.add_parser(
-        "run",
-        help="run registered suites; write one BENCH_<suite>.json each",
-    )
-    bench_run_cmd.add_argument(
-        "--suite", action="append", default=None, metavar="NAME",
-        help="suite to run (repeatable; default: all registered suites)",
-    )
-    bench_run_cmd.add_argument(
-        "--quick", action="store_true",
-        help="CI smoke scale: smaller corpus, fewer repeats",
-    )
-    bench_run_cmd.add_argument(
-        "--out-dir", default=".", metavar="DIR",
-        help="where BENCH_<suite>.json files are written (default: .)",
-    )
-    bench_run_cmd.add_argument(
-        "--profile", type=int, nargs="?", const=15, default=0, metavar="TOP_N",
-        help="attach cProfile to every case and print the top-N cumulative "
-        "hotspots (default N: 15)",
-    )
-    bench_run_cmd.add_argument(
-        "--list", action="store_true", dest="list_suites",
-        help="list registered suites and exit",
-    )
-    _add_optimizer_argument(bench_run_cmd)
-    bench_compare_cmd = bench_sub.add_parser(
-        "compare",
-        help="diff two BENCH results (files or directories); exit non-zero "
-        "on regression",
-    )
-    bench_compare_cmd.add_argument(
-        "baseline", help="baseline BENCH_*.json file or directory of them"
-    )
-    bench_compare_cmd.add_argument(
-        "current", help="current BENCH_*.json file or directory of them"
-    )
-    bench_compare_cmd.add_argument(
-        "--fail-over", type=float, default=10.0, metavar="PCT",
-        help="fail when any case's min_seconds regressed by more than PCT "
-        "percent (default: 10)",
-    )
-
     replay_cmd = subparsers.add_parser(
         "replay",
         help="replay a captured or synthetic-zipf workload against an "
@@ -578,8 +532,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             return _command_ingest(args)
         if args.command == "experiment":
             return _command_experiment(args)
-        if args.command == "bench":
-            return _command_bench(args)
         if args.command == "replay":
             return _command_replay(args)
         parser.error(f"unknown command {args.command!r}")
@@ -719,38 +671,6 @@ def _command_metrics(args: argparse.Namespace) -> int:
 
     sys.stdout.write(render_metrics())
     return 0
-
-
-def _command_bench(args: argparse.Namespace) -> int:
-    from repro.bench.perf import (
-        available_suites,
-        compare_results,
-        render_comparison,
-        run_suites,
-    )
-
-    if args.bench_command == "run":
-        if args.list_suites:
-            for name, description in available_suites():
-                print(f"{name:<14} {description}")
-            return 0
-        written = run_suites(
-            args.suite,
-            quick=args.quick,
-            out_dir=args.out_dir,
-            profile_top=args.profile,
-            optimizer=args.optimizer,
-            echo=print,
-        )
-        print(f"wrote {len(written)} result file(s) to {args.out_dir}")
-        return 0
-    if args.bench_command == "compare":
-        deltas, notes, regressions = compare_results(
-            args.baseline, args.current, args.fail_over
-        )
-        print(render_comparison(deltas, notes, regressions, args.fail_over))
-        return 1 if regressions else 0
-    raise ReproError(f"unknown bench command {args.bench_command!r}")
 
 
 def _command_replay(args: argparse.Namespace) -> int:
@@ -1259,6 +1179,16 @@ def _command_doctor(args: argparse.Namespace) -> int:
     return 1 if any(result.failed for result in results) else 0
 
 
+def _print_figure3(scale: FigureScale) -> None:
+    """Figure 3's analytic bounds on the collection Figures 5--8 measure."""
+    params = InvertedIndex(scale.collection()).statistics.complexity_parameters()
+    print("Figure 3: analytic complexity hierarchy")
+    print(f"  data parameters : {params.as_dict()}")
+    print("  query parameters: toks_Q=3, preds_Q=2, ops_Q=4")
+    for name, bound in hierarchy_table(params, QueryParameters(3, 2, 4)):
+        print(f"  {name:11}: {bound:,.0f} operations")
+
+
 def _command_experiment(args: argparse.Namespace) -> int:
     scale = {
         "smoke": FigureScale.smoke,
@@ -1266,19 +1196,17 @@ def _command_experiment(args: argparse.Namespace) -> int:
         "paper": FigureScale.paper,
     }[args.scale]()
     if args.figure == "3":
-        from repro.corpus.synthetic import generate_inex_like_collection
-
-        collection = generate_inex_like_collection(
-            num_nodes=scale.num_nodes, pos_per_entry=scale.pos_per_entry
-        )
-        params = InvertedIndex(collection).statistics.complexity_parameters()
-        print("Figure 3: analytic complexity hierarchy")
-        for name, bound in hierarchy_table(params, QueryParameters(3, 2, 4)):
-            print(f"  {name:11}: {bound:,.0f} operations")
+        _print_figure3(scale)
         return 0
     if args.figure == "all":
-        tables = run_all(scale)
-        print(render_report(list(tables.values())))
+        _print_figure3(scale)
+        print()
+        tables = [
+            *run_all(scale).values(),
+            ablation_npred_orders(scale),
+            ablation_scoring(scale),
+        ]
+        print(render_report(tables))
         return 0
     figure = ALL_FIGURES[f"figure{args.figure}"]
     table = figure(scale)

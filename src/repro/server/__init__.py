@@ -7,9 +7,6 @@ single dependency beyond the standard library:
 * :mod:`repro.server.http`     -- a bounded HTTP/1.1 request parser and JSON
   response writer over asyncio streams (keep-alive, ``Content-Length``
   framing, structured protocol errors);
-* :mod:`repro.server.metrics`  -- deprecated shim over
-  :mod:`repro.telemetry.latency`, the latency recorder and nearest-rank
-  percentile maths shared by every serving surface;
 * :mod:`repro.server.batching` -- the micro-batching dispatcher coalescing
   concurrent requests into single ``search_many`` calls on a dedicated
   engine thread, preserving bit-identical per-request results;

@@ -14,8 +14,7 @@ The cross-cutting observability layer of the serving stack:
   rendering, built on the paper's own ``CursorStats`` counters;
 * :mod:`repro.telemetry.slowlog` -- threshold-triggered JSONL trace dumps;
 * :mod:`repro.telemetry.latency` -- the bounded-window
-  :class:`LatencyRecorder` shared by every serving surface (moved here from
-  ``repro.server.metrics``, which remains as a deprecation shim).
+  :class:`LatencyRecorder` shared by every serving surface.
 """
 
 from repro.telemetry.latency import (

@@ -1,9 +1,8 @@
 """Latency accounting shared by every serving surface.
 
-Moved here from ``repro.server.metrics`` (which remains as a deprecation
-shim): percentile windows are telemetry, not an HTTP-server detail, and the
-stdin REPL (``repro serve``), the HTTP service (``repro serve-http``) and
-the benchmark harness all report through the same arithmetic.
+Percentile windows are telemetry, not an HTTP-server detail: the stdin
+REPL (``repro serve``), the HTTP service (``repro serve-http``) and the
+replay harness (``repro replay``) all report through the same arithmetic.
 
 Two conventions, inherited from the REPL and now binding for every user:
 
@@ -39,8 +38,7 @@ class LatencyRecorder:
     """Bounded-window latency statistics for one endpoint or serving loop.
 
     Thread-safe: the HTTP server records from the event-loop thread while
-    ``/stats`` snapshots may be rendered from the engine worker thread, and
-    the benchmark harness records from many client threads.
+    ``/stats`` snapshots may be rendered from the engine worker thread.
     """
 
     def __init__(self, window: int = DEFAULT_WINDOW) -> None:

@@ -17,7 +17,7 @@ cheap and keeps bucket counts and sums internally consistent.
 
 A registry can be disabled wholesale (:meth:`MetricsRegistry.set_enabled`);
 a disabled registry turns every ``inc``/``observe``/``set`` into an early
-return, which is what the telemetry overhead benchmark measures against.
+return, so a search leaves every scraped value unchanged.
 """
 
 from __future__ import annotations

@@ -8,8 +8,9 @@ timestamp lives only on the root (for log correlation).
 **Zero cost when disabled.**  There is no "disabled recorder" object to
 allocate: code paths take ``trace: Span | None`` and guard with
 ``if trace is not None`` -- the disabled path is a single ``is None`` test,
-no allocation, no call.  The benchmark guardrail
-(``benchmarks/bench_telemetry.py``) pins that property.
+no allocation, no call.  ``tests/telemetry/test_hot_path_cost.py`` pins
+the registry side by counting: one search records the same number of
+metric updates whatever its match count, and none with the kill switch off.
 
 **Thread-safety.**  Scatter workers append child spans to a shared parent
 from several threads; ``list.append`` is atomic under the GIL, and each

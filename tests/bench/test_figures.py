@@ -4,7 +4,16 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.figures import FigureScale, figure5, figure6, figure7, figure8, run_all
+from repro.bench.figures import (
+    FigureScale,
+    ablation_npred_orders,
+    ablation_scoring,
+    figure5,
+    figure6,
+    figure7,
+    figure8,
+    run_all,
+)
 from repro.bench.harness import SERIES
 
 
@@ -64,3 +73,54 @@ def test_measured_times_reflect_the_complexity_ordering(scale):
     comp = last_point.seconds("COMP-POS")
     assert ppred is not None and comp is not None
     assert ppred <= comp * 2.0
+
+
+def test_npred_orders_ablation_compares_both_strategies_on_equal_answers(scale):
+    table = ablation_npred_orders(scale)
+    assert [point.x_value for point in table.points] == [2, 3, 4]
+    assert table.series_names() == ["NPRED-minimal", "NPRED-all"]
+    for point in table.points:
+        minimal = point.measurements["NPRED-minimal"]
+        exhaustive = point.measurements["NPRED-all"]
+        assert minimal.matches == exhaustive.matches
+
+
+def test_npred_orders_ablation_query_negates_only_the_first_two_tokens(scale):
+    from repro.bench.workload import workload_queries
+    from repro.languages import ast
+
+    for num_tokens in (2, 3, 4):
+        query = workload_queries(scale.query_tokens, num_tokens, 1)["NEGATIVE"]
+        nodes = list(ast.walk(query))
+        bindings = [node for node in nodes if isinstance(node, ast.VarHasToken)]
+        predicates = [node for node in nodes if isinstance(node, ast.PredQuery)]
+        assert len(bindings) == num_tokens
+        assert [(p.name, p.variables) for p in predicates] == [
+            ("not_distance", ("p1", "p2"))
+        ]
+
+
+def test_npred_orders_ablation_answers_match_the_comp_oracle(scale):
+    from repro.bench.harness import ExperimentHarness
+    from repro.bench.workload import workload_queries
+    from repro.index.inverted_index import InvertedIndex
+
+    oracle = ExperimentHarness(InvertedIndex(scale.collection()))
+    table = ablation_npred_orders(scale)
+    for point in table.points:
+        query = workload_queries(scale.query_tokens, point.x_value, 1)["NEGATIVE"]
+        expected = oracle.time_engine("comp", query).matches
+        assert point.measurements["NPRED-minimal"].matches == expected
+
+
+def test_scoring_ablation_times_bool_and_comp_under_each_model(scale):
+    table = ablation_scoring(scale)
+    assert [point.x_value for point in table.points] == [
+        "unscored",
+        "tfidf",
+        "probabilistic",
+    ]
+    assert table.series_names() == ["BOOL", "COMP-POS"]
+    for series in ("BOOL", "COMP-POS"):
+        matches = {point.measurements[series].matches for point in table.points}
+        assert len(matches) == 1  # scoring never changes which nodes match

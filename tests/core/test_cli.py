@@ -207,11 +207,94 @@ def test_experiment_command_single_figure_smoke(capsys):
 
 
 def test_experiment_command_figure3(capsys):
+    from repro.bench.figures import FigureScale
+    from repro.index.inverted_index import InvertedIndex
+
     code = main(["experiment", "--figure", "3", "--scale", "smoke"])
     captured = capsys.readouterr().out
     assert code == 0
     assert "complexity hierarchy" in captured
     assert "PPRED" in captured
+    # The bounds describe the collection Figures 5-8 measure at this scale.
+    measured = InvertedIndex(FigureScale.smoke().collection())
+    params = measured.statistics.complexity_parameters()
+    assert f"data parameters : {params.as_dict()}" in captured
+
+
+def test_experiment_all_prints_figures_and_ablations(capsys):
+    code = main(["experiment", "--figure", "all", "--scale", "smoke"])
+    captured = capsys.readouterr().out
+    assert code == 0
+    for title in (
+        "Figure 3:",
+        "Figure 5:",
+        "Figure 6:",
+        "Figure 7:",
+        "Figure 8:",
+        "Ablation: NPRED orders",
+        "Ablation: scoring overhead",
+    ):
+        assert title in captured
+    positions = [captured.index(f"Figure {n}:") for n in (3, 5, 6, 7, 8)]
+    assert positions == sorted(positions)
+
+
+def test_experiment_figure3_at_laptop_scale_describes_the_measured_collection(
+    capsys,
+):
+    code = main(["experiment", "--figure", "3", "--scale", "laptop"])
+    captured = capsys.readouterr().out
+    assert code == 0
+    # The laptop preset's own collection, not a default-shaped stand-in.
+    assert "'pos_per_cnode': 120" in captured
+    assert "'pos_per_entry': 32" in captured
+
+
+def _subcommands(parser) -> dict:
+    import argparse
+
+    (action,) = [
+        action
+        for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    return action.choices
+
+
+def test_experiment_figure_choices_are_unchanged():
+    experiment = _subcommands(build_argument_parser())["experiment"]
+    (figure,) = [a for a in experiment._actions if "--figure" in a.option_strings]
+    assert list(figure.choices) == ["all", "3", "5", "6", "7", "8"]
+
+
+def test_the_retired_observatory_subcommand_is_rejected(capsys):
+    assert "bench" not in _subcommands(build_argument_parser())
+    with pytest.raises(SystemExit) as excinfo:
+        main(["bench", "run", "--quick"])
+    assert excinfo.value.code == 2
+    assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+
+def test_importing_the_cli_does_not_load_the_profiler():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    repo_src = str(Path(__file__).resolve().parents[2] / "src")
+    probe = (
+        "import sys, repro.cli; "
+        "print(sorted(m for m in ('cProfile', 'pstats') if m in sys.modules))"
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+        env=dict(os.environ, PYTHONPATH=repo_src),
+    )
+    assert completed.stdout.strip() == "[]"
 
 
 def test_parser_requires_a_command():

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import threading
 
-import pytest
-
 from repro.telemetry.latency import (
     LatencyRecorder,
     format_latency_summary,
@@ -86,14 +84,3 @@ def test_format_latency_summary_matches_repl_style():
 def test_format_latency_summary_renders_na_before_first_request():
     line = format_latency_summary(LatencyRecorder().snapshot())
     assert line == "mean=0.00 ms p50=n/a p95=n/a"
-
-
-@pytest.mark.filterwarnings("ignore::DeprecationWarning")
-def test_deprecated_server_metrics_shim_reexports_telemetry():
-    # repro.server.metrics must keep working for old imports, backed by the
-    # exact same objects as repro.telemetry.latency.
-    from repro.server import metrics as shim
-
-    assert shim.percentile is percentile
-    assert shim.LatencyRecorder is LatencyRecorder
-    assert shim.format_latency_summary is format_latency_summary

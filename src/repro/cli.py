@@ -116,14 +116,6 @@ def _add_sharding_arguments(command: argparse.ArgumentParser) -> None:
         help="shard assignment: 'hash', 'round-robin' or 'metadata:<key>' "
         "(default: hash)",
     )
-    command.add_argument(
-        "--workers",
-        default="thread",
-        choices=["thread", "process"],
-        help="where shards run: 'thread' (default) = one after another in "
-        "the calling thread; 'process' = one worker process per shard over "
-        "mmap'd packed segments (escapes the GIL, static indexes only)",
-    )
 
 
 def build_argument_parser() -> argparse.ArgumentParser:
@@ -575,7 +567,6 @@ def _load_engine(args: argparse.Namespace, cache_size: int | None = None) -> Ful
         cache_size=cache_size,
         live=getattr(args, "live", False),
         flush_threshold=getattr(args, "flush_threshold", None),
-        workers=getattr(args, "workers", "thread"),
         optimizer=getattr(args, "optimizer", DEFAULT_OPTIMIZER),
     )
 
@@ -1092,10 +1083,10 @@ def _command_serve_http(args: argparse.Namespace) -> int:
     if path.is_dir():
         # A live data directory (as written by `repro ingest --data-dir`):
         # reopen it in place instead of loading a collection file.
-        if args.shards > 1 or args.workers != "thread":
+        if args.shards > 1:
             print(
-                "error: serving a live data directory supports neither "
-                "--shards > 1 nor --workers process",
+                "error: serving a live data directory does not support "
+                "--shards > 1",
                 file=sys.stderr,
             )
             return 1

@@ -11,7 +11,7 @@ the paper's semantics and scores bit-identical:
 * :mod:`repro.cluster.stats`         -- globally-aggregated df / N / norm
   statistics so sharded scoring equals single-index scoring;
 * :mod:`repro.cluster.scatter`       -- the scatter-gather executor: shards
-  evaluated in the calling thread, or in worker processes;
+  evaluated one after another in the calling thread;
 * :mod:`repro.cluster.merge`         -- merging of the sorted per-shard id
   streams and rankings;
 * :mod:`repro.cluster.cache`         -- the LRU result cache keyed on
@@ -42,8 +42,7 @@ from repro.cluster.partition import (
     make_partitioner,
     partition_collection,
 )
-from repro.cluster.process_scatter import FrozenStatistics, freeze_statistics
-from repro.cluster.scatter import WORKER_MODES, ScatterGatherExecutor
+from repro.cluster.scatter import ScatterGatherExecutor
 from repro.cluster.sharded_index import Shard, ShardedIndex
 from repro.cluster.stats import AggregatedStatistics
 

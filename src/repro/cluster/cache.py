@@ -145,8 +145,8 @@ class QueryCache:
         """Counters plus the hit rate over all lookups so far.
 
         Taken under the cache lock so the snapshot is internally consistent
-        even while scatter-gather workers and ``search_many`` batches are
-        hitting the cache concurrently.
+        even while another thread (a server's engine thread, say) is
+        hitting the cache.
         """
         with self._lock:
             hits, misses = self.hits, self.misses

@@ -65,12 +65,13 @@ class FullTextEngine:
       merged results (identical node ids and scores, see
       :mod:`repro.cluster`) come back with per-query cache/shard metadata.
 
-    ``cache_size`` and ``max_workers`` (the size of the ``workers="process"``
-    pool, nothing else) belong to the cluster path and have
-    no effect when the index is a plain :class:`InvertedIndex`; to get a
-    cached engine without real sharding, use
-    :meth:`from_collection` with an explicit ``cache_size`` (it builds a
-    one-shard cluster) or pass a one-shard :class:`ShardedIndex` here.
+    ``cache_size`` belongs to the cluster path and has no effect when the
+    index is a plain :class:`InvertedIndex`; to get a cached engine without
+    real sharding, use :meth:`from_collection` with an explicit
+    ``cache_size`` (it builds a one-shard cluster) or pass a one-shard
+    :class:`ShardedIndex` here.  ``max_workers`` is accepted and ignored:
+    shards always run in the calling thread, and existing callers still
+    pass it.
     """
 
     def __init__(
@@ -82,7 +83,6 @@ class FullTextEngine:
         access_mode: str = "paper",
         max_workers: int | None = None,
         cache_size: int | None = DEFAULT_CACHE_SIZE,
-        workers: str = "thread",
         optimizer: str = DEFAULT_OPTIMIZER,
     ) -> None:
         self.index = index
@@ -93,12 +93,6 @@ class FullTextEngine:
         self._cluster: ScatterGatherExecutor | None = None
         self._scoring_spec = scoring
         self._scoring_generation: int | None = None
-        if workers != "thread" and not isinstance(index, ShardedIndex):
-            raise ReproError(
-                f"workers={workers!r} requires a sharded index; build the "
-                f"engine with shards >= 1 via FullTextEngine.from_collection "
-                f"or pass a ShardedIndex"
-            )
         if isinstance(index, ShardedIndex):
             self._cluster = ScatterGatherExecutor(
                 index,
@@ -106,9 +100,7 @@ class FullTextEngine:
                 scoring,
                 npred_orders=npred_orders,
                 access_mode=access_mode,
-                max_workers=max_workers,
                 cache_size=cache_size,
-                workers=workers,
                 optimizer=optimizer,
             )
             self._scoring = None
@@ -135,12 +127,10 @@ class FullTextEngine:
         access_mode: str = "paper",
         shards: int = 1,
         partitioner: str = "hash",
-        max_workers: int | None = None,
         cache_size=_CACHE_UNSET,
         live: bool = False,
         live_dir=None,
         flush_threshold: int | None = None,
-        workers: str = "thread",
         optimizer: str = DEFAULT_OPTIMIZER,
     ) -> "FullTextEngine":
         """Build an engine by indexing ``collection``.
@@ -149,8 +139,8 @@ class FullTextEngine:
         ``partitioner``: ``"hash"``, ``"round-robin"`` or
         ``"metadata:<key>"``) and every search runs scatter-gather across the
         shards with an LRU result cache of ``cache_size`` entries
-        (``cache_size=None`` disables caching).  ``workers="thread"`` (the
-        default) evaluates the shards one after another in the calling thread.
+        (``cache_size=None`` disables caching); the shards are evaluated one
+        after another in the calling thread.
 
         With ``live=True`` the index is built on the log-structured segment
         subsystem (:mod:`repro.segments`) and the engine accepts
@@ -166,14 +156,6 @@ class FullTextEngine:
         ``repro serve`` uses.  Left unspecified, ``shards=1`` stays the
         plain single-index path.
 
-        ``workers="process"`` fans each search out to a pool of
-        ``max_workers`` worker *processes* (default: one per shard) instead:
-        evaluation escapes the GIL, at the cost of spilling the shards to
-        packed segment files the workers ``mmap``.  It requires a static (non-live)
-        index; results stay bit-identical to the in-process path.  At
-        ``shards=1`` it still builds a one-shard cluster so the process
-        pool applies.
-
         ``optimizer`` selects the planning layer's mode: ``"off"`` (the
         default) builds plan artifacts but defers every choice to the
         builtin heuristics, ``"on"`` picks join order, merge strategy and
@@ -186,10 +168,8 @@ class FullTextEngine:
         )
         if not requested_cache:  # 0 disables caching, like the CLI flag
             requested_cache = None
-        wants_cluster = (
-            shards > 1
-            or workers != "thread"
-            or (cache_size is not _CACHE_UNSET and requested_cache is not None)
+        wants_cluster = shards > 1 or (
+            cache_size is not _CACHE_UNSET and requested_cache is not None
         )
         live_options = {}
         if flush_threshold is not None:
@@ -211,9 +191,7 @@ class FullTextEngine:
             registry,
             scoring,
             access_mode=access_mode,
-            max_workers=max_workers,
             cache_size=requested_cache,
-            workers=workers,
             optimizer=optimizer,
         )
 
@@ -296,9 +274,8 @@ class FullTextEngine:
 
         One dictionary with everything the CLI spreads over ``shard-stats``,
         ``segment-stats`` and the serve REPL's ``:stats``: per-shard sizes,
-        cache hit rates, live segment/WAL state and (in process-scatter
-        mode) the packed spool files.  ``repro serve-http`` returns this
-        verbatim under the ``"engine"`` key of ``/stats``.
+        cache hit rates and live segment/WAL state.  ``repro serve-http``
+        returns this verbatim under the ``"engine"`` key of ``/stats``.
         """
         stats = {
             "collection": self.collection.name,
@@ -306,9 +283,6 @@ class FullTextEngine:
             "shards": self.num_shards,
             "live": self.is_live,
             "access_mode": self.access_mode,
-            "workers": (
-                self._cluster.workers if self._cluster is not None else "thread"
-            ),
             "cache": self.cache_stats(),
             "optimizer": self.optimizer_stats(),
             "shard_stats": self.shard_stats(),
@@ -318,18 +292,14 @@ class FullTextEngine:
             stats["segments"] = self.segment_stats()
             if hasattr(self.index, "wal_stats"):
                 stats["wal"] = self.index.wal_stats()
-        if self._cluster is not None:
-            spool = self._cluster.spool_stats()
-            if spool is not None:
-                stats["spool"] = spool
         return stats
 
     def close(self) -> None:
         """Release cluster resources and close live-index resources.
 
         On a live index this stops background compaction and makes the WAL
-        durable; on the cluster path it additionally shuts the
-        ``workers="process"`` pool down.  Idempotent.
+        durable; on the cluster path it additionally detaches the cluster's
+        invalidation listeners.  Idempotent.
         """
         if self._cluster is not None:
             self._cluster.close()

@@ -90,13 +90,12 @@ class EvaluationResult:
     cursor_stats: CursorStats | None = None
     ranked_limit: int | None = None
     #: EXPLAIN ANALYZE payload (see :mod:`repro.telemetry.explain`), only
-    #: populated by instrumented executions; a plain dict so it pickles
-    #: through the process-scatter workers unchanged.
+    #: populated by instrumented executions; a plain dict so it encodes to
+    #: JSON unchanged.
     explain: dict | None = None
     #: The physical plan's :meth:`~repro.planner.physical.PhysicalPlan.describe`
     #: payload (provenance, strategy choices, per-token estimates); ``None``
-    #: for COMP, which runs without a plan.  Plain dict for the same
-    #: pickling reason.
+    #: for COMP, which runs without a plan.  Plain dict for the same reason.
     plan: dict | None = None
     _ranked: list[tuple[int, float]] | None = None
 

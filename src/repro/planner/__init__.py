@@ -9,7 +9,7 @@ owned here:
 * :mod:`repro.planner.cost` -- the cursor-op cost model over document
   frequencies;
 * :mod:`repro.planner.physical` / :mod:`repro.planner.optimizer` -- the
-  picklable :class:`PhysicalPlan` artifact and the :class:`QueryPlanner`
+  :class:`PhysicalPlan` artifact and the :class:`QueryPlanner`
   that produces it.
 
 Two optimizer modes thread through the CLI, server, and benches: ``"off"``

@@ -1,13 +1,10 @@
-"""The physical plan: one picklable artifact carrying every strategy choice.
+"""The physical plan: one artifact carrying every strategy choice.
 
 A :class:`PhysicalPlan` is what flows through the stack -- executor →
-engines → thread/process scatter workers → EXPLAIN.  Shipping the artifact
-(rather than re-deriving choices per shard) keeps every worker's decisions
-identical to the coordinator's, which is what makes the sharded/unsharded
+engines → scatter-gather shards → EXPLAIN.  Shipping the artifact (rather
+than re-deriving choices per shard) keeps every shard's decisions identical
+to the coordinator's, which is what makes the sharded/unsharded
 bit-identity invariant cheap to maintain.
-
-Every field is a plain value so the plan pickles across the process-scatter
-boundary unchanged.
 """
 
 from __future__ import annotations

@@ -9,9 +9,7 @@ POSIX signal handlers).
 Checks:
 
 * Python version and the stdlib features the stack leans on
-  (``asyncio.start_server``, ``mmap``, a ``spawn`` multiprocessing context
-  for ``--workers process``);
-* a writable temporary directory (the process-scatter spool lives there);
+  (``asyncio.start_server``, ``mmap``) and a planner probe;
 * optionally, an index target: a saved collection file is loaded and
   validated, a live data directory is checked for a parseable manifest,
   the segment files it references, and a readable WAL;
@@ -22,7 +20,6 @@ from __future__ import annotations
 
 import json
 import sys
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -81,19 +78,6 @@ def check_mmap() -> CheckResult:
     return _ok("mmap", "zero-copy packed segment readers available")
 
 
-def check_spawn_context() -> CheckResult:
-    import multiprocessing
-
-    try:
-        multiprocessing.get_context("spawn")
-    except ValueError:  # pragma: no cover - every CPython platform has spawn
-        return _warn(
-            "multiprocessing",
-            "no 'spawn' context; --workers process will not run",
-        )
-    return _ok("multiprocessing", "'spawn' context available for --workers process")
-
-
 def check_optimizer() -> CheckResult:
     """Verify the planning layer imports and plans a probe query.
 
@@ -124,16 +108,6 @@ def check_optimizer() -> CheckResult:
         f"plans per canonical query; probe plan: {plan.merge_strategy} "
         f"merge)",
     )
-
-
-def check_tempdir() -> CheckResult:
-    try:
-        with tempfile.NamedTemporaryFile(prefix="repro-doctor-") as handle:
-            handle.write(b"ok")
-            handle.flush()
-    except OSError as exc:
-        return _fail("tempdir", f"cannot write {tempfile.gettempdir()}: {exc}")
-    return _ok("tempdir", f"{tempfile.gettempdir()} is writable (spool directory)")
 
 
 def check_port(host: str, port: int) -> CheckResult:
@@ -233,8 +207,6 @@ def run_doctor(
         check_python(),
         check_asyncio(),
         check_mmap(),
-        check_spawn_context(),
-        check_tempdir(),
         check_optimizer(),
     ]
     if host is not None and port is not None:

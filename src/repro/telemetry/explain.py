@@ -156,7 +156,6 @@ def build_scatter_explain(
     elapsed_seconds: float,
     rows_produced: int,
     shard_payloads: "list[dict]",
-    workers: str,
     cache: str,
     top_k: "dict | None" = None,
     plan: "dict | None" = None,
@@ -171,7 +170,6 @@ def build_scatter_explain(
         "language_class": language_class,
         "engine": engine,
         "access_mode": access_mode,
-        "workers": workers,
         "cache": cache,
         "elapsed_ms": elapsed_seconds * 1000.0,
         "rows_produced": rows_produced,
@@ -247,8 +245,7 @@ def render_explain(payload: dict) -> str:
     if payload.get("operator") == "scatter":
         lines.append(f"EXPLAIN ANALYZE {payload['query']}")
         lines.append(
-            f"scatter shards={payload['shard_count']} "
-            f"workers={payload['workers']} cache={payload['cache']} "
+            f"scatter shards={payload['shard_count']} cache={payload['cache']} "
             f"engine={payload['engine']} class={payload['language_class']} "
             f"access_mode={payload['access_mode']} "
             f"elapsed={payload['elapsed_ms']:.3f} ms "

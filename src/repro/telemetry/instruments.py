@@ -95,12 +95,7 @@ COMPACTION_SEGMENTS_MERGED_TOTAL = REGISTRY.counter(
 # ------------------------------------------------------------------ scatter
 SCATTER_TASKS_TOTAL = REGISTRY.counter(
     "repro_scatter_tasks_total",
-    "Per-shard scatter tasks dispatched, by worker flavour.",
-    ("workers",),
-)
-SPOOL_RESPILLS_TOTAL = REGISTRY.counter(
-    "repro_spool_respills_total",
-    "Process-scatter spool (re)spills of the shard set to packed files.",
+    "Per-shard scatter tasks evaluated (one per shard per scatter).",
 )
 
 # ------------------------------------------------------------------- gauges
@@ -109,10 +104,10 @@ SPOOL_RESPILLS_TOTAL = REGISTRY.counter(
 # ``set()``: several instances of a component may coexist in one process
 # (one WAL and one segment manager per live shard, one query cache per
 # executor), and deltas make their contributions sum correctly.  Components
-# that recompute a derived quantity (segments per tier, compaction backlog,
-# spool bytes) keep a per-instance record of what they last reported and
-# apply ``new - reported`` so the family always equals the sum over open
-# instances.  Instance teardown (WAL close, executor close) withdraws its
+# that recompute a derived quantity (segments per tier, compaction backlog)
+# keep a per-instance record of what they last reported and apply
+# ``new - reported`` so the family always equals the sum over open
+# instances.  Instance teardown (WAL close, cache unregister) withdraws its
 # contribution.
 WAL_BYTES = REGISTRY.gauge(
     "repro_wal_bytes",
@@ -143,10 +138,6 @@ QUERY_CACHE_CAPACITY = REGISTRY.gauge(
     "repro_query_cache_capacity",
     "Total entry capacity of open query result caches.",
 )
-SPOOL_BYTES = REGISTRY.gauge(
-    "repro_spool_bytes",
-    "Bytes of packed shard files in process-scatter spool directories.",
-)
 HTTP_INFLIGHT_REQUESTS = REGISTRY.gauge(
     "repro_http_inflight_requests",
     "HTTP requests currently being handled by the server.",
@@ -163,7 +154,6 @@ GAUGES = {
         COMPACTION_BACKLOG,
         QUERY_CACHE_ENTRIES,
         QUERY_CACHE_CAPACITY,
-        SPOOL_BYTES,
         HTTP_INFLIGHT_REQUESTS,
     )
 }

@@ -8,8 +8,8 @@ shards**.  Each incrementing thread writes only its own slot of a plain
 dict keyed by thread id; under the GIL a single-writer dict store is atomic,
 so increments take no lock at all, and a scrape sums the shards.  Every
 shard is monotonically non-decreasing, hence so is the scraped sum --
-the property the concurrency tests pin while scatter threads, process-pool
-feeders and the background compactor all increment simultaneously.
+the property the concurrency tests pin while server threads and the
+background compactor all increment simultaneously.
 
 Gauges and histograms are locked: they are touched per request or per
 background event, never per cursor operation, so a ``threading.Lock`` is
@@ -210,7 +210,7 @@ class _GaugeChild:
 
 
 class Gauge(_Metric):
-    """A value that can go up and down (queue depths, spool bytes, ...)."""
+    """A value that can go up and down (queue depths, WAL bytes, ...)."""
 
     kind = "gauge"
 

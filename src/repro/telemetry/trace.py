@@ -12,12 +12,13 @@ no allocation, no call.  ``tests/telemetry/test_hot_path_cost.py`` pins
 the registry side by counting: one search records the same number of
 metric updates whatever its match count, and none with the kill switch off.
 
-**Thread-safety.**  Scatter workers append child spans to a shared parent
-from several threads; ``list.append`` is atomic under the GIL, and each
-child span is only ever mutated by the thread that created it, so the tree
-assembles safely without locks.  Process-pool shards cannot share the
-parent's objects -- the parent records one span per shard around the
-future's lifetime instead.
+**Thread-safety.**  Spans take no locks: ``list.append`` is atomic under
+the GIL and each child span is only ever mutated by the thread that
+created it, so concurrent attachment loses nothing.  In practice a trace
+is extended by one thread at a time (a server request opens its span on
+the event loop, then waits while the engine thread adds children), and
+scatter-gather evaluates its shards one after another in the calling
+thread, so their ``scatter.shard`` spans arrive in shard order.
 """
 
 from __future__ import annotations

@@ -1,20 +1,22 @@
 """In-process scatter: shards run in the caller, per-query facts decided once.
 
-``workers="thread"`` evaluates the shards one after another in the calling
-thread -- there is no shard thread pool any more, and ``max_workers`` only
-sizes the ``workers="process"`` pool.  These tests pin
+The scatter-gather executor evaluates the shards one after another in the
+calling thread -- there is no shard thread or process pool, and
+``max_workers`` is accepted and ignored.  These tests pin
 
-* the equivalence that licensed the deletion: every shard count x
-  ``max_workers`` x entry point returns the unsharded engine's ids, scores,
-  order and match count, and the cursor statistics of ``workers="process"``
-  (which are the sum over the shards evaluated stand-alone);
+* the equivalence that licenses that design: every shard count x entry
+  point x query, on static and on live shards, returns the node ids of the
+  paper's naive COMP engine (ground truth), the unsharded engine's ids,
+  scores, order and match count, and cursor statistics equal to the sum over
+  the shards evaluated stand-alone -- whatever ``max_workers`` says, while
+  the retired ``workers`` keyword is refused;
 * that no ``repro-shard*`` thread exists during or after a query, or after
   ``close()``;
 * that a multi-shard miss classifies its query exactly once inside the
   cluster tier (a hit: never) and computes its query norm once, and a forced
   engine is validated before any shard runs;
-* the two defects the pooled path had: a raising shard left its siblings
-  running behind the caller's back, and ``execute_many`` reported
+* the two defects the thread-pooled path had: a raising shard left its
+  siblings running behind the caller's back, and ``execute_many`` reported
   ``max(shard)`` as the elapsed time of shards that do not overlap.
 """
 
@@ -41,15 +43,18 @@ from repro.core.query import parse_query
 from repro.corpus import Collection
 from repro.corpus.synthetic import SyntheticSpec, generate_collection
 from repro.engine.executor import Executor
+from repro.engine.naive_engine import NaiveCompEngine
 from repro.exceptions import UnsupportedQueryError
 from repro.index import InvertedIndex
 from repro.index.statistics import IndexStatistics
 from repro.languages import ast
 
 SHARD_COUNTS = (1, 2, 4, 7)
-MAX_WORKERS = (None, 1, 2, 8)
 TOP_KS = (None, 5)
 OPTIMIZERS = ("off", "on")
+#: The fixture queries by name: the paper's three series, then two BOOL extras.
+EXTRA_QUERIES = {"OR": "'alpha' OR 'beta'", "AND_NOT": "'alpha' AND NOT 'gamma'"}
+QUERY_NAMES = ("BOOL", "POSITIVE", "NEGATIVE", *EXTRA_QUERIES)
 
 
 @pytest.fixture(scope="module")
@@ -71,8 +76,10 @@ def corpus() -> Collection:
 @pytest.fixture(scope="module")
 def queries() -> list[ast.QueryNode]:
     series = workload_queries(["alpha", "beta", "gamma"], 3, 2)
-    extra = ["'alpha' OR 'beta'", "'alpha' AND NOT 'gamma'"]
-    return list(series.values()) + [parse_query(text).node for text in extra]
+    extra = {name: parse_query(text).node for name, text in EXTRA_QUERIES.items()}
+    named = {**series, **extra}
+    assert tuple(named) == QUERY_NAMES
+    return list(named.values())
 
 
 def shard_threads() -> list[str]:
@@ -109,22 +116,20 @@ def unsharded(corpus, queries) -> dict:
 
 
 @pytest.fixture(scope="module")
-def process_mode(corpus, queries) -> dict:
-    """(shards, query, k) -> (answer, cursor counters) under ``workers="process"``."""
-    rows = {}
-    for shards in SHARD_COUNTS:
-        with_processes = FullTextEngine(
-            ShardedIndex(corpus, shards), scoring="tfidf", cache_size=None,
-            workers="process", max_workers=2,
-        )
-        try:
-            for position, query in enumerate(queries):
-                for top_k in TOP_KS:
-                    found = with_processes.search(query, top_k=top_k)
-                    rows[shards, position, top_k] = (answer(found), counters(found))
-        finally:
-            with_processes.close()
-    return rows
+def oracle(corpus, queries) -> list[list[int]]:
+    """Every query's node ids under the paper's naive COMP engine, ascending."""
+    naive = NaiveCompEngine(InvertedIndex(corpus))
+    return [naive.evaluate(query) for query in queries]
+
+
+def assert_matches_oracle(results, expected: list[int], top_k) -> None:
+    """Full rankings hold exactly the oracle's ids; a top-k cut a subset."""
+    assert results.total_matches == len(expected)
+    if top_k is None:
+        assert sorted(results.node_ids) == expected
+    else:
+        assert len(results.node_ids) == min(top_k, len(expected))
+        assert set(results.node_ids) <= set(expected)
 
 
 def standalone_counters(engine: FullTextEngine, query, top_k):
@@ -137,44 +142,44 @@ def standalone_counters(engine: FullTextEngine, query, top_k):
 
 
 # ------------------------------------------------- the equivalence cross-product
-@pytest.mark.parametrize("entry", ["search", "search_many", "explain", "live"])
-@pytest.mark.parametrize("max_workers", MAX_WORKERS)
-@pytest.mark.parametrize("shards", SHARD_COUNTS)
-def test_every_shape_equals_unsharded_and_process_mode(
-    corpus, queries, unsharded, process_mode, shards, max_workers, entry
-):
-    if entry == "live":
-        index = LiveShardedIndex(corpus, shards)
-    else:
-        index = ShardedIndex(corpus, shards)
-    engine = FullTextEngine(
-        index, scoring="tfidf", cache_size=None, max_workers=max_workers
+ENTRY_POINTS = ("search", "search_many", "explain")
+
+
+def run_entry_point(engine: FullTextEngine, entry: str, queries, position, top_k):
+    """One query's results; ``search_many`` still answers the whole batch."""
+    if entry == "search_many":
+        return engine.search_many(queries, top_k=top_k)[position]
+    return engine.search(
+        queries[position], top_k=top_k, explain=entry == "explain"
     )
+
+
+@pytest.mark.parametrize("position", range(len(QUERY_NAMES)), ids=QUERY_NAMES)
+@pytest.mark.parametrize("entry", [*ENTRY_POINTS, "live"])
+@pytest.mark.parametrize("shards", SHARD_COUNTS)
+def test_every_shape_equals_the_oracle_and_unsharded(
+    corpus, queries, oracle, unsharded, shards, entry, position
+):
+    """Static shards per entry point; ``live`` runs all three on live shards."""
+    live = entry == "live"
+    index = LiveShardedIndex(corpus, shards) if live else ShardedIndex(corpus, shards)
+    engine = FullTextEngine(index, scoring="tfidf", cache_size=None)
     try:
-        for top_k in TOP_KS:
-            if entry == "search_many":
-                found = engine.search_many(queries, top_k=top_k)
-            else:
-                found = [
-                    engine.search(query, top_k=top_k, explain=entry == "explain")
-                    for query in queries
-                ]
-            assert not shard_threads()
-            for position, results in enumerate(found):
+        for entry_point in ENTRY_POINTS if live else (entry,):
+            for top_k in TOP_KS:
+                results = run_entry_point(
+                    engine, entry_point, queries, position, top_k
+                )
+                assert not shard_threads()
+                assert_matches_oracle(results, oracle[position], top_k)
                 assert answer(results) == unsharded[position, top_k]
-                assert counters(results) == standalone_counters(
+                expected_counters = standalone_counters(
                     engine, queries[position], top_k
                 )
-                if entry == "live":
-                    continue  # process mode needs static shards
-                expected_answer, expected_counters = process_mode[
-                    shards, position, top_k
-                ]
-                assert answer(results) == expected_answer
                 assert counters(results) == expected_counters
-                if entry == "explain":
+                if entry_point == "explain":
                     explained = results.metadata["explain"]
-                    assert explained["workers"] == "thread"
+                    assert "workers" not in explained
                     assert len(explained["shards"]) == shards
                     assert explained["cursor_totals"] == expected_counters
     finally:
@@ -182,9 +187,39 @@ def test_every_shape_equals_unsharded_and_process_mode(
     assert not shard_threads()
 
 
+@pytest.mark.parametrize("max_workers", (None, 1, 2, 8))
+def test_max_workers_is_accepted_and_ignored(
+    corpus, queries, unsharded, max_workers
+):
+    """Existing callers still pass ``max_workers``; it changes no answer."""
+    engine = FullTextEngine(
+        ShardedIndex(corpus, 4), scoring="tfidf", cache_size=None,
+        max_workers=max_workers,
+    )
+    try:
+        for position, query in enumerate(queries):
+            for top_k in TOP_KS:
+                results = engine.search(query, top_k=top_k)
+                assert answer(results) == unsharded[position, top_k]
+                assert counters(results) == standalone_counters(
+                    engine, query, top_k
+                )
+        assert not shard_threads()
+    finally:
+        engine.close()
+
+
+@pytest.mark.parametrize(
+    "constructor", [FullTextEngine, ScatterGatherExecutor], ids=["engine", "cluster"]
+)
+def test_the_retired_workers_keyword_is_rejected(corpus, constructor):
+    with pytest.raises(TypeError, match="workers"):
+        constructor(ShardedIndex(corpus, 2), workers="process")
+
+
 def test_shards_are_evaluated_in_the_calling_thread(corpus, queries):
     cluster = ScatterGatherExecutor(
-        ShardedIndex(corpus, 4), scoring="tfidf", cache_size=None, max_workers=2
+        ShardedIndex(corpus, 4), scoring="tfidf", cache_size=None
     )
     seen = []
     for executor in cluster._shard_executors:
@@ -337,7 +372,7 @@ def test_a_raising_shard_stops_the_scatter_and_leaves_nothing_running(
     corpus, queries, entry
 ):
     cluster = ScatterGatherExecutor(
-        ShardedIndex(corpus, 4), scoring="tfidf", cache_size=None, max_workers=4
+        ShardedIndex(corpus, 4), scoring="tfidf", cache_size=None
     )
     reference = Executor(
         InvertedIndex(corpus), scoring=cluster.scoring, optimizer="off"
@@ -398,29 +433,6 @@ def test_batch_elapsed_is_the_sum_of_back_to_back_shards(corpus, queries):
         shard_times = [batch[position].elapsed_seconds for batch in shipped]
         assert result.elapsed_seconds == sum(shard_times)
         assert result.elapsed_seconds > max(shard_times)
-
-
-def test_batch_elapsed_stays_the_slowest_shard_for_worker_processes(corpus, queries):
-    cluster = ScatterGatherExecutor(
-        ShardedIndex(corpus, 2), scoring="tfidf", cache_size=None, workers="process"
-    )
-    shipped = []
-    original = cluster._process_scatter
-
-    def spy(*args, **kwargs):
-        batches = original(*args, **kwargs)
-        shipped.extend(batches)
-        return batches
-
-    cluster._process_scatter = spy
-    try:
-        merged = cluster.execute_many(queries, top_k=5)
-    finally:
-        cluster.close()
-    for position, result in enumerate(merged):
-        assert result.elapsed_seconds == max(
-            batch[position].elapsed_seconds for batch in shipped
-        )
 
 
 # ------------------------------------------------- the merge, against the heap merge

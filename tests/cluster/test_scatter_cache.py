@@ -64,8 +64,9 @@ def test_scatter_matches_single_index(collection, num_shards, query_text):
 
 
 def test_sequential_fallback_equals_pooled_execution(collection):
+    """``max_workers`` is accepted and ignored: both run in the caller."""
     query = parse_query("'software' AND 'usability'").node
-    pooled = ScatterGatherExecutor(ShardedIndex(collection, 3))
+    pooled = ScatterGatherExecutor(ShardedIndex(collection, 3), max_workers=8)
     sequential = ScatterGatherExecutor(ShardedIndex(collection, 3), max_workers=1)
     assert pooled.execute(query).node_ids == sequential.execute(query).node_ids
     assert not [
@@ -161,8 +162,8 @@ def test_cache_rejects_bad_capacity():
 def test_cache_is_thread_safe_under_concurrent_mixed_traffic():
     """get / put / invalidate / stats hammered from worker threads.
 
-    The cache is shared by scatter-gather shard workers and ``search_many``
-    batches, so every public entry point must hold the lock; this would
+    The cache can be shared by several threads calling one engine, so
+    every public entry point must hold the lock; this would
     corrupt the OrderedDict (or trip 'dictionary changed size during
     iteration') if any path skipped it.
     """

@@ -275,7 +275,8 @@ def test_the_retired_observatory_subcommand_is_rejected(capsys):
     assert "invalid choice: 'bench'" in capsys.readouterr().err
 
 
-def test_importing_the_cli_does_not_load_the_profiler():
+def _loaded_by_cli_import(modules: tuple) -> str:
+    """Which of ``modules`` a fresh interpreter holds after ``import repro.cli``."""
     import os
     import subprocess
     import sys
@@ -284,7 +285,7 @@ def test_importing_the_cli_does_not_load_the_profiler():
     repo_src = str(Path(__file__).resolve().parents[2] / "src")
     probe = (
         "import sys, repro.cli; "
-        "print(sorted(m for m in ('cProfile', 'pstats') if m in sys.modules))"
+        f"print(sorted(m for m in {modules!r} if m in sys.modules))"
     )
     completed = subprocess.run(
         [sys.executable, "-c", probe],
@@ -294,7 +295,27 @@ def test_importing_the_cli_does_not_load_the_profiler():
         timeout=60,
         env=dict(os.environ, PYTHONPATH=repo_src),
     )
-    assert completed.stdout.strip() == "[]"
+    return completed.stdout.strip()
+
+
+def test_importing_the_cli_does_not_load_the_profiler():
+    assert _loaded_by_cli_import(("cProfile", "pstats")) == "[]"
+
+
+def test_importing_the_cli_does_not_load_process_machinery():
+    modules = (
+        "multiprocessing",
+        "concurrent.futures.process",
+        "repro.cluster.process_scatter",
+    )
+    assert _loaded_by_cli_import(modules) == "[]"
+
+
+def test_the_retired_workers_option_is_rejected(index_file, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["search", str(index_file), "'usability'", "--workers", "process"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --workers process" in capsys.readouterr().err
 
 
 def test_parser_requires_a_command():

@@ -2,11 +2,10 @@
 
 Turning the optimizer on or off must never change a returned byte:
 node ids, scores and order are bit-identical under every combination of
-query class, access mode, scoring model, shard count, index tier and
-worker pool.  A hypothesis search samples the static-index cross-product
-(engines are cached per configuration, so examples stay cheap); the
-expensive corners -- live index tier, process worker pools -- are pinned by
-deterministic parametrized tests below.
+query class, access mode, scoring model, shard count and index tier.  A
+hypothesis search samples the static-index cross-product (engines are
+cached per configuration, so examples stay cheap); the expensive corner --
+the live index tier -- is pinned by deterministic parametrized tests below.
 """
 
 from __future__ import annotations
@@ -104,35 +103,3 @@ def test_live_tier_matches_static_reference(small_synthetic, optimizer, series):
     )
     static.close()
     live.close()
-
-
-@pytest.mark.parametrize("optimizer", OPTIMIZERS)
-def test_process_workers_match_thread_reference(small_synthetic, optimizer):
-    thread = FullTextEngine.from_collection(
-        small_synthetic,
-        scoring="tfidf",
-        access_mode="fast",
-        shards=2,
-        cache_size=None,
-        optimizer="off",
-    )
-    process = FullTextEngine.from_collection(
-        small_synthetic,
-        scoring="tfidf",
-        access_mode="fast",
-        shards=2,
-        cache_size=None,
-        workers="process",
-        optimizer=optimizer,
-    )
-    try:
-        for query in QUERIES.values():
-            assert ranking(process.search(query)) == ranking(
-                thread.search(query)
-            )
-            assert ranking(process.search(query, top_k=5)) == ranking(
-                thread.search(query, top_k=5)
-            )
-    finally:
-        thread.close()
-        process.close()

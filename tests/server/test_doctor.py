@@ -21,7 +21,9 @@ def test_environment_checks_pass_here():
     assert by_name["python"] == "ok"
     assert by_name["asyncio"] == "ok"
     assert by_name["mmap"] == "ok"
-    assert by_name["tempdir"] == "ok"
+    assert by_name["optimizer"] == "ok"
+    assert "tempdir" not in by_name
+    assert "multiprocessing" not in by_name
 
 
 def test_port_check_binds_ephemeral_port():

@@ -118,7 +118,7 @@ def test_cluster_explain_aggregates_shards_and_bypasses_cache(collection):
 
         payload = explained.metadata["explain"]
         assert payload["operator"] == "scatter"
-        assert payload["workers"] == "thread"
+        assert "workers" not in payload
         assert payload["cache"] == "bypass"
         assert payload["shard_count"] == 3
         assert len(payload["shards"]) == 3
@@ -133,6 +133,11 @@ def test_cluster_explain_aggregates_shards_and_bypasses_cache(collection):
         top_k = payload["top_k"]
         assert top_k["k"] == 5
         assert top_k["scored"] >= len(explained)
+
+        rendered = render_explain(payload)
+        assert "scatter shards=3 cache=bypass" in rendered
+        assert "workers=" not in rendered
+        assert all(f"shard {shard}:" in rendered for shard in range(3))
     finally:
         engine.close()
 
@@ -148,22 +153,3 @@ def test_cluster_explain_does_not_poison_the_cache(collection):
         assert_same_results(first, second)
     finally:
         engine.close()
-
-
-def test_process_scatter_explain_matches_thread_scatter(collection):
-    thread_engine = make_engine(collection, shards=2, workers="thread")
-    process_engine = make_engine(collection, shards=2, workers="process")
-    try:
-        thread_results = thread_engine.search(QUERY, top_k=5, explain=True)
-        process_results = process_engine.search(QUERY, top_k=5, explain=True)
-        assert_same_results(thread_results, process_results)
-        thread_payload = thread_results.metadata["explain"]
-        process_payload = process_results.metadata["explain"]
-        assert process_payload["workers"] == "process"
-        assert process_payload["cursor_totals"] == thread_payload["cursor_totals"]
-        rendered = render_explain(process_payload)
-        assert "workers=process" in rendered
-        assert "shard 0:" in rendered and "shard 1:" in rendered
-    finally:
-        thread_engine.close()
-        process_engine.close()

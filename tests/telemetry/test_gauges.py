@@ -145,10 +145,10 @@ def test_gauge_snapshot_covers_every_family():
         "repro_compaction_backlog",
         "repro_query_cache_entries",
         "repro_query_cache_capacity",
-        "repro_spool_bytes",
         "repro_http_inflight_requests",
     ):
         assert name in snapshot
+    assert "repro_spool_bytes" not in snapshot
     assert isinstance(snapshot["repro_segments"], dict)  # labelled by tier
 
 

@@ -70,19 +70,12 @@ def test_cache_counters_see_miss_hit_eviction_invalidation(collection):
 def test_scatter_task_counter_counts_shards_per_query(collection):
     engine = make_engine(collection, shards=3, cache_size=0)
     try:
-        before = instruments.SCATTER_TASKS_TOTAL.value("thread")
+        assert instruments.SCATTER_TASKS_TOTAL.labelnames == ()
+        before = instruments.SCATTER_TASKS_TOTAL.value()
         engine.search(QUERY)
-        assert instruments.SCATTER_TASKS_TOTAL.value("thread") == before + 3
-    finally:
-        engine.close()
-
-
-def test_process_scatter_task_counter(collection):
-    engine = make_engine(collection, shards=2, workers="process")
-    try:
-        before = instruments.SCATTER_TASKS_TOTAL.value("process")
-        engine.search(QUERY, top_k=3)
-        assert instruments.SCATTER_TASKS_TOTAL.value("process") == before + 2
+        assert instruments.SCATTER_TASKS_TOTAL.value() == before + 3
+        engine.search_many([QUERY, "'usability'"])  # one task per shard per batch
+        assert instruments.SCATTER_TASKS_TOTAL.value() == before + 6
     finally:
         engine.close()
 
@@ -131,7 +124,7 @@ def test_write_plane_counters_wal_seals_compactions(collection, tmp_path):
 
 
 def test_scrape_is_monotonic_under_mixed_load(collection, tmp_path):
-    """Counters never go backwards while scatter threads, a live-index
+    """Counters never go backwards while a searching thread, a live-index
     writer (WAL + seals + compaction) and the scraper all run at once."""
     searcher = make_engine(collection, shards=2, cache_size=8)
     writer = make_engine(
@@ -140,7 +133,7 @@ def test_scrape_is_monotonic_under_mixed_load(collection, tmp_path):
     watched = (
         lambda: instruments.QUERIES_TOTAL.value("bool"),
         lambda: instruments.CURSOR_OPS_TOTAL.value("next_entry"),
-        lambda: instruments.SCATTER_TASKS_TOTAL.value("thread"),
+        lambda: instruments.SCATTER_TASKS_TOTAL.value(),
         lambda: instruments.WAL_APPENDS_TOTAL.value(),
         lambda: instruments.MEMTABLE_SEALS_TOTAL.value(),
         lambda: instruments.COMPACTIONS_TOTAL.value(),

@@ -145,11 +145,12 @@ def test_default_registry_exposes_full_catalogue():
         "repro_memtable_seals_total",
         "repro_compactions_total",
         "repro_scatter_tasks_total",
-        "repro_spool_respills_total",
         "repro_http_requests_total",
         "repro_slow_queries_total",
     ):
         assert f"# TYPE {family}" in text, f"{family} missing from catalogue"
+    for retired in ("repro_spool_respills_total", "repro_spool_bytes"):
+        assert f"# TYPE {retired}" not in text
 
 
 def test_default_buckets_are_sorted_and_distinct():

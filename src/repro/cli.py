@@ -108,7 +108,7 @@ def _add_sharding_arguments(command: argparse.ArgumentParser) -> None:
         type=int,
         default=1,
         help="partition the index over N shards and run scatter-gather "
-        "(default: 1, the single-index path)",
+        "(default: 1, a single index)",
     )
     command.add_argument(
         "--partitioner",
@@ -577,7 +577,7 @@ def _command_search(args: argparse.Namespace) -> int:
         args.query, language=args.language, engine=args.engine, top_k=args.top_k
     )
     print(results.summary())
-    if results.metadata.get("shards"):
+    if results.metadata["shards"] > 1:
         print(f"(scatter-gather over {results.metadata['shards']} shards)")
     collection = engine.collection
     for rank, result in enumerate(results, start=1):
@@ -1071,7 +1071,7 @@ def _print_serve_stats(engine: FullTextEngine, recorder: LatencyRecorder) -> Non
         f"cache: size={cache['size']}/{cache['capacity']} "
         f"hits={cache['hits']} misses={cache['misses']} "
         f"hit_rate={cache['hit_rate'] * 100:.1f}% "
-        f"evictions={cache['evictions']} invalidations={cache['invalidations']}"
+        f"evictions={cache['evictions']}"
     )
 
 
@@ -1099,6 +1099,7 @@ def _command_serve_http(args: argparse.Namespace) -> int:
             LiveIndex.open(path, **live_options),
             scoring=None if args.scoring == "none" else args.scoring,
             access_mode=args.access_mode,
+            cache_size=cache_size,
             optimizer=args.optimizer,
         )
     else:

@@ -1,25 +1,28 @@
 """Sharded indexing and scatter-gather query execution.
 
 This package scales the single-index engine stack horizontally while keeping
-the paper's semantics and scores bit-identical:
+the paper's semantics and scores bit-identical.  A single index is the
+one-shard case: every engine dispatches through the same coordinator.
 
 * :mod:`repro.cluster.partition`     -- pluggable shard-assignment strategies
   (hash-by-node-id, round-robin, by-metadata-key);
 * :mod:`repro.cluster.sharded_index` -- ``N`` private inverted indexes behind
-  one collection-level facade, with incremental appends and invalidation
-  notifications;
+  one collection-level facade, with incremental appends that move its
+  ``generation``;
 * :mod:`repro.cluster.stats`         -- globally-aggregated df / N / norm
   statistics so sharded scoring equals single-index scoring;
-* :mod:`repro.cluster.scatter`       -- the scatter-gather executor: shards
-  evaluated one after another in the calling thread;
+* :mod:`repro.cluster.scatter`       -- the scatter-gather coordinator: one
+  plan per query, shards evaluated one after another in the calling
+  thread, scoring and planner memo re-bound when the generation moves;
 * :mod:`repro.cluster.merge`         -- merging of the sorted per-shard id
   streams and rankings;
 * :mod:`repro.cluster.cache`         -- the LRU result cache keyed on
-  normalized plan + access mode + scoring, serving smaller top-k requests
-  from a warm wider entry (exact rankings are prefixes of each other);
+  normalized plan + access mode + scoring + generation, serving smaller
+  top-k requests from a warm wider entry (exact rankings are prefixes of
+  each other);
 * :mod:`repro.cluster.live`          -- live (mutable) shards: one
   :class:`~repro.segments.live_index.LiveIndex` per shard with routed
-  updates/deletes and generation-keyed cache invalidation.
+  updates/deletes, each moving the generation.
 
 The high-level entry point is
 ``FullTextEngine.from_collection(collection, shards=N)``.

@@ -4,7 +4,8 @@ Keys are built from everything that determines the answer: the *canonical*
 plan IR text (:func:`repro.planner.ir.canonical_key` -- AND/OR chains
 flattened and operand order normalised, so commuted variants like
 ``b AND a`` vs ``a AND b`` share one entry), the forced engine, the cursor
-access mode, the scoring backend, and the NPRED order strategy.
+access mode, the scoring backend, the NPRED order strategy and the index
+generation.
 
 The top-k cut is deliberately **not** part of the key: exact top-k rankings
 are prefixes of each other, so one entry computed at ``k=10`` can serve any
@@ -13,10 +14,12 @@ and the coverage check in :mod:`repro.cluster.scatter`).  An entry that is
 *too narrow* for the requested ``k`` counts as a miss and is overwritten by
 the wider recomputation, so entries only ever grow toward the full ranking.
 
-The cache is invalidated wholesale on incremental index updates: a new node
-can change global document frequencies, so *every* cached score is suspect,
-not just entries mentioning the node's tokens.  Hit / miss / eviction
-counters feed the ``repro serve`` session statistics.
+Nothing is ever invalidated: a write that may change results moves the
+index generation, and a new node can change global document frequencies, so
+*every* entry keyed on the old generation is suspect, not just entries
+mentioning the node's tokens.  They simply become unreachable and age out of
+the LRU.  Hit / miss / eviction counters feed the ``repro serve`` session
+statistics.
 """
 
 from __future__ import annotations
@@ -38,13 +41,15 @@ def make_cache_key(
     access_mode: str,
     scoring: str,
     npred_orders: str,
+    generation: int,
 ) -> tuple:
     """The canonical cache key for one query execution (top-k excluded).
 
     ``plan_text`` is the canonical plan-IR rendering of the query, not its
-    surface text -- callers pass ``canonical_key(query)``.
+    surface text -- callers pass ``canonical_key(query)``; ``generation`` is
+    the index generation the answer was computed at.
     """
-    return (plan_text, engine, access_mode, scoring, npred_orders)
+    return (plan_text, engine, access_mode, scoring, npred_orders, generation)
 
 
 class QueryCache:
@@ -59,7 +64,6 @@ class QueryCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self.invalidations = 0
         self._unregistered = False
         if instruments.REGISTRY.enabled:
             instruments.QUERY_CACHE_CAPACITY.inc(capacity)
@@ -106,17 +110,6 @@ class QueryCache:
             if instruments.REGISTRY.enabled and not self._unregistered:
                 instruments.QUERY_CACHE_ENTRIES.inc()
 
-    def invalidate(self) -> None:
-        """Drop every entry (called on incremental index updates)."""
-        with self._lock:
-            dropped = len(self._entries)
-            self._entries.clear()
-            self.invalidations += 1
-            if instruments.REGISTRY.enabled:
-                instruments.CACHE_INVALIDATIONS_TOTAL.inc()
-                if dropped and not self._unregistered:
-                    instruments.QUERY_CACHE_ENTRIES.dec(dropped)
-
     def unregister(self) -> None:
         """Withdraw this cache's contribution to the shared gauges.
 
@@ -157,7 +150,6 @@ class QueryCache:
                 "hits": hits,
                 "misses": misses,
                 "evictions": self.evictions,
-                "invalidations": self.invalidations,
                 "hit_rate": (hits / lookups) if lookups else 0.0,
             }
 
@@ -170,6 +162,5 @@ class QueryCache:
             "hits": 0,
             "misses": 0,
             "evictions": 0,
-            "invalidations": 0,
             "hit_rate": 0.0,
         }

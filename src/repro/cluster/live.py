@@ -9,12 +9,10 @@ adds through the partitioner, updates and deletes through the global
 evaluates queries shard by shard in the calling thread, unchanged (each
 shard executor snapshots its shard per query).
 
-Cache invalidation is *generation-keyed* instead of wholesale: the index
-carries a mutation generation that changes exactly when results may change
-(adds / updates / deletes, but **not** flushes or compactions), and the
-query cache includes it in every key.  Stale entries simply become
-unreachable and age out of the LRU; results cached before an unrelated
-maintenance operation stay warm.
+Every routed write that may change results -- add, update, delete --
+moves :attr:`generation` (inherited from :class:`ShardedIndex`); flushes and
+compactions reorganise storage without touching results and leave it
+alone, so cache entries keyed on it stay warm across maintenance.
 """
 
 from __future__ import annotations
@@ -58,7 +56,6 @@ class LiveShardedIndex(ShardedIndex):
             "sync_every": sync_every,
             "auto_compact": auto_compact,
         }
-        self._generation = 0
         self._write_lock = threading.RLock()
         self._check_persisted_layout(num_shards)
         super().__init__(collection, num_shards, partitioner)
@@ -151,7 +148,7 @@ class LiveShardedIndex(ShardedIndex):
             self.shards[shard_id].index.update_node(node)
             self._live_statistics.apply(self.collection.replace(node), node)
             self._statistics = None
-            self._notify_invalidation()
+            self.generation += 1
 
     def update_text(self, node_id: int, text: str, tokenizer=None, metadata=None) -> None:
         node = ContextNode.from_text(node_id, text, tokenizer, metadata=metadata)
@@ -170,18 +167,10 @@ class LiveShardedIndex(ShardedIndex):
             self._live_statistics.apply(self.collection.remove(node_id), None)
             del self._assignment[node_id]
             self._statistics = None
-            self._notify_invalidation()
+            self.generation += 1
             return True
 
-    def _notify_invalidation(self) -> None:
-        self._generation += 1
-        super()._notify_invalidation()
-
     # ------------------------------------------------------------- accessors
-    def cache_generation(self) -> int:
-        """The mutation generation result caches key their entries on."""
-        return self._generation
-
     @property
     def statistics(self) -> LiveStatistics:
         """Exact survivor-based global statistics (one generation per mutation).
@@ -246,5 +235,5 @@ class LiveShardedIndex(ShardedIndex):
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (
             f"LiveShardedIndex(nodes={self.node_count()}, "
-            f"shards={self.num_shards}, generation={self._generation})"
+            f"shards={self.num_shards}, generation={self.generation})"
         )

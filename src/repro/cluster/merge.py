@@ -100,11 +100,20 @@ def merge_shard_results(
     """
     if not per_shard:
         raise ValueError("cannot merge zero shard results")
-    node_ids = sorted(chain.from_iterable(result.node_ids for result in per_shard))
-    scores: dict[int, float] = {}
-    for result in per_shard:
-        scores.update(result.scores)
-    ranked = merge_ranked([result.ranked() for result in per_shard], top_k)
+    if len(per_shard) == 1:
+        # A single index: its ids are ascending and its ranking is sorted
+        # by (-score, node_id) already, so there is nothing to interleave.
+        (only,) = per_shard
+        node_ids, scores, cursor_stats = only.node_ids, only.scores, only.cursor_stats
+        check_top_k(top_k)
+        ranked = only.ranked()[:top_k]
+    else:
+        node_ids = sorted(chain.from_iterable(result.node_ids for result in per_shard))
+        scores = {}
+        for result in per_shard:
+            scores.update(result.scores)
+        cursor_stats = merge_cursor_stats([r.cursor_stats for r in per_shard])
+        ranked = merge_ranked([result.ranked() for result in per_shard], top_k)
     language_class: LanguageClass = per_shard[0].language_class
     return MergedEvaluationResult(
         node_ids=node_ids,
@@ -112,7 +121,7 @@ def merge_shard_results(
         engine=per_shard[0].engine,
         elapsed_seconds=elapsed_seconds,
         scores=scores,
-        cursor_stats=merge_cursor_stats([r.cursor_stats for r in per_shard]),
+        cursor_stats=cursor_stats,
         ranked_limit=top_k,
         # Every shard executed the same coordinator-shipped plan, so shard
         # 0's provenance payload speaks for the whole scatter.

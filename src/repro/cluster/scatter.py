@@ -1,24 +1,32 @@
-"""Scatter-gather query execution over a sharded index.
+"""Scatter-gather query execution: the one dispatch path of every engine.
 
-:class:`ScatterGatherExecutor` is the cluster-side counterpart of
-:class:`~repro.engine.executor.Executor`: it owns one shard-local executor
-per shard (all scoring with one model bound to the globally-aggregated
-statistics, so per-shard scores *are* global scores), decides the facts of
-the *query* -- language class, engine, physical plan -- once, evaluates it
-on every shard in shard order -- which keeps the merge deterministic -- and
-combines the per-shard results with :mod:`repro.cluster.merge`.
+:class:`ScatterGatherExecutor` is the coordinator every
+:class:`~repro.core.engine.FullTextEngine` runs its queries through.  It
+owns one shard-local :class:`~repro.engine.executor.Executor` per shard --
+the shards of a :class:`~repro.cluster.sharded_index.ShardedIndex`, or any
+single index (``InvertedIndex``, ``PackedInvertedIndex``, ``LiveIndex``) as
+its one shard -- all scoring with one model bound to the index's global
+statistics, so per-shard scores *are* global scores.  It decides the facts
+of the *query* -- language class, engine, physical plan -- once, evaluates
+it on every shard in shard order -- which keeps the merge deterministic --
+and combines the per-shard results with :mod:`repro.cluster.merge`.  Shards
+are evaluated one after another in the calling thread, because per-shard
+evaluation is pure Python and threads would only take turns on the GIL.
 
-One code path serves 1 and N shards: they are evaluated one after another
-in the calling thread, because per-shard evaluation is pure Python and
-threads would only take turns on the GIL.
+One staleness rule covers every index: ``index.generation`` moves exactly
+when results may change (appends, live updates and deletes -- never
+flushes or compactions).  The coordinator reads it once per query; when it
+moved, the scoring model is re-bound to the fresh statistics and the
+planner memo is dropped.  The generation is part of every cache key, so
+entries cached before a write become unreachable and age out of the LRU.
 
-Merged results are memoised in a :class:`~repro.cluster.cache.QueryCache`
-keyed on the normalized plan, engine choice, access mode, scoring backend
-and NPRED order strategy -- but *not* the top-k cut: exact top-k rankings
-are prefixes of each other, so a warm ``k=10`` entry serves a ``k=5``
-request (a genuine hit) and only a wider request recomputes and overwrites
-the entry.  The cache registers itself for invalidation on incremental
-updates of the sharded index.
+With ``cache_size`` set, merged results are memoised in a
+:class:`~repro.cluster.cache.QueryCache` keyed on the normalized plan,
+engine choice, access mode, scoring backend, NPRED order strategy and
+generation -- but *not* the top-k cut: exact top-k rankings are prefixes of
+each other, so a warm ``k=10`` entry serves a ``k=5`` request (a genuine
+hit) and only a wider request recomputes and overwrites the entry.  Without
+a cache no key is computed at all.
 
 ``top_k`` is forwarded to every shard executor, so each shard runs the
 score-bounded pushdown of :mod:`repro.engine.topk` and ships back only its
@@ -36,9 +44,10 @@ from typing import Sequence
 
 from repro.cluster.cache import DEFAULT_CACHE_SIZE, QueryCache, make_cache_key
 from repro.cluster.merge import MergedEvaluationResult, merge_shard_results
-from repro.cluster.sharded_index import ShardedIndex
+from repro.cluster.sharded_index import Shard, ShardedIndex
 from repro.engine.executor import AUTO, EvaluationResult, Executor, resolve_engine
 from repro.engine.topk import check_top_k
+from repro.exceptions import ScoringError
 from repro.index.cursor import PAPER_MODE, check_access_mode
 from repro.languages import ast
 from repro.languages.classify import classify_query
@@ -52,15 +61,17 @@ from repro.telemetry import instruments
 
 
 class ScatterGatherExecutor:
-    """Evaluate queries on every index shard; merge and cache the results.
+    """Evaluate queries on every shard of an index; merge and cache the results.
 
+    ``index`` is a :class:`ShardedIndex` (its shards) or any single index
+    (one shard).  ``cache_size`` of ``None`` or 0 runs uncached.
     ``max_workers`` is accepted and ignored: shards always run in the
     calling thread, and existing callers still pass it.
     """
 
     def __init__(
         self,
-        sharded_index: ShardedIndex,
+        index,
         registry: PredicateRegistry | None = None,
         scoring: "str | ScoringModel | None" = None,
         npred_orders: str = "minimal",
@@ -69,18 +80,25 @@ class ScatterGatherExecutor:
         cache_size: int | None = DEFAULT_CACHE_SIZE,
         optimizer: str = DEFAULT_OPTIMIZER,
     ) -> None:
-        self.sharded_index = sharded_index
+        self.index = index
+        self.shards: list[Shard] = (
+            index.shards if isinstance(index, ShardedIndex) else [Shard(0, index)]
+        )
         self.registry = registry or default_registry()
         self.npred_orders = npred_orders
         self.access_mode = check_access_mode(access_mode)
         self._scoring_spec = scoring
         self.scoring_name = self._resolve_scoring_name(scoring)
         # Planning is a *coordinator* concern: one planner over the global
-        # aggregated statistics plans each query once, and the physical plan
-        # ships to every shard -- so all shards make identical choices, and
-        # shard-local executors never plan on their own.
+        # statistics plans each query once, and the physical plan ships to
+        # every shard -- so all shards make identical choices, and
+        # shard-local executors never plan on their own.  Its memo is
+        # dropped whenever the generation this coordinator last saw moves.
         self.optimizer = check_optimizer_mode(optimizer)
-        self.planner = QueryPlanner(self._planner_df)
+        self._generation = index.generation
+        self.planner = QueryPlanner(
+            self._planner_df, version=lambda: self._generation
+        )
         model = self._make_model()
         self._shard_executors = [
             Executor(
@@ -91,38 +109,23 @@ class ScatterGatherExecutor:
                 access_mode=self.access_mode,
                 optimizer=OPTIMIZER_OFF,
             )
-            for shard in sharded_index.shards
+            for shard in self.shards
         ]
         self.cache = QueryCache(cache_size) if cache_size else None
-        # Two invalidation regimes: a static sharded index has no data
-        # version, so the cache is flushed wholesale on every mutation; a
-        # live index exposes a mutation generation that every cache key
-        # embeds, so stale entries just age out of the LRU and flushes /
-        # compactions (which cannot change results) leave the cache warm.
-        self._generation_keyed = sharded_index.cache_generation() is not None
-        self._cache_listener_registered = False
-        if self.cache is not None and not self._generation_keyed:
-            sharded_index.add_invalidation_listener(self.cache.invalidate)
-            self._cache_listener_registered = True
-        # An incremental append changes the global df/N, so the scoring model
-        # must re-bind to the recomputed statistics before the next query.
-        self._scoring_stale = False
-        if self._scoring_spec is not None:
-            sharded_index.add_invalidation_listener(self._mark_scoring_stale)
-        # A mutation changes the global dfs the cost model planned with, so
-        # the planner's memoised plans are dropped.
-        self._planner_stale = False
-        sharded_index.add_invalidation_listener(self._mark_planner_stale)
 
     # ------------------------------------------------------------------ API
     @property
     def num_shards(self) -> int:
-        return self.sharded_index.num_shards
+        return len(self.shards)
 
     @property
     def scoring(self) -> ScoringModel | None:
         """The scoring model every shard shares (bound to global statistics)."""
-        return self._shard_executors[0].scoring if self._shard_executors else None
+        return self._shard_executors[0].scoring
+
+    def shard_stats(self) -> list[dict[str, int]]:
+        """Per-shard size figures, one dict per shard in shard order."""
+        return [shard.describe() for shard in self.shards]
 
     def execute(
         self,
@@ -145,12 +148,13 @@ class ScatterGatherExecutor:
         receives one span per shard evaluation.  Results stay bit-identical.
         """
         check_top_k(top_k)
-        if not explain:
-            key = self._cache_key(query, engine)
+        generation = self._sync()
+        key = None
+        if self.cache is not None and not explain:
+            key = self._cache_key(query, engine, generation)
             cached = self._cache_get(key, top_k)
             if cached is not None:
                 return cached
-        self._refresh_scoring_if_stale()
         plan = self._plan_for(query, engine)
         started = time.perf_counter()
         per_shard = self._scatter(
@@ -167,17 +171,32 @@ class ScatterGatherExecutor:
                 query, merged, per_shard, plan=plan
             )
             return merged  # never cached: hand the fresh object out directly
-        if self.cache is None:
+        if key is None:
             return merged
-        self._cache_put(key, merged)
+        self.cache.put(key, merged)
         return self._detached(merged, from_cache=False)
+
+    def _sync(self) -> int:
+        """Read ``index.generation`` once for this query; catch up if it moved.
+
+        A moved generation means the statistics changed: every shard gets a
+        model bound to the fresh ones, and the planner's ``version`` (this
+        coordinator's last-seen generation) drops its memo on the next plan.
+        """
+        generation = self.index.generation
+        if generation != self._generation:
+            self._generation = generation
+            model = self._make_model()
+            for executor in self._shard_executors:
+                executor.scoring = model
+        return generation
 
     def _plan_for(
         self, query: ast.QueryNode, engine: str
     ) -> PhysicalPlan | None:
         """Classify, pick the engine and plan once; the plan ships to every shard.
 
-        The planner costs over the cluster's *aggregated* statistics, so the
+        The planner costs over the index's *global* statistics, so the
         choices reflect global document frequencies -- and because every
         shard executes the same artifact, choices cannot diverge between
         shards (the sharded/unsharded bit-identity invariant stays cheap).
@@ -185,9 +204,6 @@ class ScatterGatherExecutor:
         misused forced engine raises here and no shard walks the AST again;
         COMP has no plan, so each shard resolves it again.
         """
-        if self._planner_stale:
-            self._planner_stale = False
-            self.planner = QueryPlanner(self._planner_df)
         language_class = classify_query(query, self.registry)
         engine_name = resolve_engine(language_class, engine)
         if engine_name == "comp":
@@ -203,14 +219,16 @@ class ScatterGatherExecutor:
             instruments.PLANS_TOTAL.labels(plan.provenance).inc()
         return plan
 
-    def _mark_planner_stale(self) -> None:
-        self._planner_stale = True
-
     def _planner_df(self, token: "str | None") -> int:
-        statistics = self.sharded_index.statistics
-        if token is None:
-            return statistics.node_count
-        return statistics.document_frequency(token)
+        """Document frequency for the planner, by the rule of ``Executor._df``.
+
+        Scored, it reads the statistics the shared model is bound to (the
+        global ones); unscored, it sums the shards' posting lists, so an
+        unscored live index never freezes statistics just to plan.
+        """
+        if self.scoring is not None:
+            return self._shard_executors[0]._df(token)
+        return sum(executor._df(token) for executor in self._shard_executors)
 
     def optimizer_stats(self) -> dict[str, object]:
         """Optimizer mode + planner counters for ``/stats``."""
@@ -263,21 +281,23 @@ class ScatterGatherExecutor:
 
         Each shard runs :meth:`Executor.execute_many` over every
         not-yet-cached query, so the shard-local plan cache and cursor
-        factory are amortised across the batch exactly as in the single-index
-        path.
+        factory are amortised across the batch.
 
         When the cache is enabled, duplicated queries inside one batch are
         also evaluated only once (they would hit the cache on a second call
         anyway); with caching disabled every query is evaluated, matching
-        the single-index ``execute_many`` semantics exactly.
+        ``Executor.execute_many`` semantics exactly.
         """
         check_top_k(top_k)
-        keys = [self._cache_key(query, engine) for query in queries]
+        generation = self._sync()
+        if self.cache is None:
+            return self._evaluate_batch(queries, engine, top_k)
+        keys = [self._cache_key(query, engine, generation) for query in queries]
         answers: dict[int, MergedEvaluationResult] = {}
         pending: list[int] = []
         scheduled: dict[tuple, int] = {}
         for position, key in enumerate(keys):
-            if self.cache is not None and key in scheduled:
+            if key in scheduled:
                 # A duplicate of a query scheduled in this batch: served from
                 # the cache after execution (and counted as a hit there).
                 continue
@@ -285,29 +305,14 @@ class ScatterGatherExecutor:
             if cached is not None:
                 answers[position] = cached
             else:
-                scheduled.setdefault(key, position)
+                scheduled[key] = position
                 pending.append(position)
-        if pending:
-            self._refresh_scoring_if_stale()
-            batch = [queries[position] for position in pending]
-            batch_plans = [
-                self._plan_for(query, engine) for query in batch
-            ]
-            per_shard_batches = self._scatter(
-                lambda executor: executor.execute_many(
-                    batch, engine=engine, top_k=top_k, plans=batch_plans
-                )
-            )
-            for offset, position in enumerate(pending):
-                per_shard = [shard_batch[offset] for shard_batch in per_shard_batches]
-                # The shards ran back to back, so one query took the sum.
-                elapsed = sum(result.elapsed_seconds for result in per_shard)
-                merged = merge_shard_results(per_shard, elapsed, top_k)
-                if self.cache is None:
-                    answers[position] = merged
-                else:
-                    self._cache_put(keys[position], merged)
-                    answers[position] = self._detached(merged, from_cache=False)
+        evaluated = self._evaluate_batch(
+            [queries[position] for position in pending], engine, top_k
+        )
+        for position, merged in zip(pending, evaluated):
+            self.cache.put(keys[position], merged)
+            answers[position] = self._detached(merged, from_cache=False)
         # Duplicates of a scheduled query: now cache-resident, a real hit.
         # (Unless the entry was already evicted by later puts of this very
         # batch -- then hand out a detached copy of the first occurrence's
@@ -322,6 +327,28 @@ class ScatterGatherExecutor:
                 )
         return [answers[position] for position in range(len(queries))]
 
+    def _evaluate_batch(
+        self,
+        batch: Sequence[ast.QueryNode],
+        engine: str,
+        top_k: int | None,
+    ) -> list[MergedEvaluationResult]:
+        """Plan every query once, run the batch on each shard, merge per query."""
+        if not batch:
+            return []
+        plans = [self._plan_for(query, engine) for query in batch]
+        per_shard_batches = self._scatter(
+            lambda executor: executor.execute_many(
+                batch, engine=engine, top_k=top_k, plans=plans
+            )
+        )
+        merged = []
+        for per_shard in zip(*per_shard_batches):
+            # The shards ran back to back, so one query took the sum.
+            elapsed = sum(result.elapsed_seconds for result in per_shard)
+            merged.append(merge_shard_results(list(per_shard), elapsed, top_k))
+        return merged
+
     def cache_stats(self) -> dict[str, float]:
         """Hit/miss statistics of the result cache (zeros when disabled)."""
         if self.cache is None:
@@ -329,20 +356,9 @@ class ScatterGatherExecutor:
         return self.cache.stats()
 
     def close(self) -> None:
-        """Deregister the invalidation listeners (idempotent).
-
-        Deregistering matters when one long-lived :class:`ShardedIndex` is
-        served by successive executors: a closed executor must not keep
-        receiving (and being kept alive by) invalidation notifications.
-        """
+        """Withdraw the cache from the shared gauges (idempotent)."""
         if self.cache is not None:
             self.cache.unregister()
-        if self._cache_listener_registered:
-            self.sharded_index.remove_invalidation_listener(self.cache.invalidate)
-            self._cache_listener_registered = False
-        if self._scoring_spec is not None:
-            self.sharded_index.remove_invalidation_listener(self._mark_scoring_stale)
-        self.sharded_index.remove_invalidation_listener(self._mark_planner_stale)
 
     def __enter__(self) -> "ScatterGatherExecutor":
         return self
@@ -372,28 +388,29 @@ class ScatterGatherExecutor:
     def _make_model(self) -> ScoringModel | None:
         """The scoring model all shard executors share.
 
-        It is bound to the *aggregated* statistics, so every shard scores
-        with the global df / N / norms; shards are evaluated one at a time,
-        each calling ``prepare()`` first, so one instance serves them all.
+        It is bound to the index's *global* statistics, so every shard
+        scores with the global df / N / norms; shards are evaluated one at a
+        time, each calling ``prepare()`` first, so one instance serves them
+        all.  A model instance already bound to those statistics is used as
+        given; any other is re-bound.
         """
-        from repro.exceptions import ScoringError
-
         spec = self._scoring_spec
         if spec is None:
             return None
-        statistics = self.sharded_index.statistics
+        statistics = self.index.statistics
         if isinstance(spec, str):
             return get_model(spec, statistics)
         if isinstance(spec, ScoringModel):
-            # Re-bind the model class to the aggregated statistics.  This
-            # requires the standard ScoringModel constructor signature; a
-            # customised instance cannot be cloned faithfully, so fail loud
-            # rather than drop its configuration silently.
+            if spec.statistics is statistics:
+                return spec
+            # Re-binding requires the standard ScoringModel constructor
+            # signature; a customised instance cannot be cloned faithfully,
+            # so fail loud rather than drop its configuration silently.
             try:
                 return type(spec)(statistics)
             except TypeError as exc:
                 raise ScoringError(
-                    f"cannot shard scoring model {type(spec).__name__}: its "
+                    f"cannot re-bind scoring model {type(spec).__name__}: its "
                     f"constructor does not accept (statistics); register it "
                     f"with repro.scoring.base.register_model and pass the "
                     f"name instead"
@@ -402,23 +419,6 @@ class ScatterGatherExecutor:
             "scoring must be None, a model name, or a ScoringModel instance"
         )
 
-    def _mark_scoring_stale(self) -> None:
-        self._scoring_stale = True
-
-    def _refresh_scoring_if_stale(self) -> None:
-        """Re-bind the scoring model after an incremental index update.
-
-        ``ShardedIndex.add_node`` drops the aggregated statistics; the next
-        query must score with the recomputed global df / N, so the shard
-        executors get a fresh model bound to the fresh statistics.
-        """
-        if not self._scoring_stale:
-            return
-        self._scoring_stale = False
-        model = self._make_model()
-        for executor in self._shard_executors:
-            executor.scoring = model
-
     def _resolve_scoring_name(self, spec: "str | ScoringModel | None") -> str:
         if spec is None:
             return "none"
@@ -426,23 +426,18 @@ class ScatterGatherExecutor:
             return spec.lower()
         return getattr(spec, "name", type(spec).__name__)
 
-    def _cache_key(self, query: ast.QueryNode, engine: str) -> tuple:
+    def _cache_key(self, query: ast.QueryNode, engine: str, generation: int) -> tuple:
         # Keyed on the *canonical* plan IR text, not the surface text:
         # ``b AND a`` and ``a AND b`` are the same plan and share one cache
         # entry (AND/OR evaluation and scoring are order-independent).
-        key = make_cache_key(
+        return make_cache_key(
             canonical_key(query),
             engine,
             self.access_mode,
             self.scoring_name,
             self.npred_orders,
+            generation,
         )
-        if self._generation_keyed:
-            # Segment-aware invalidation: the data generation is part of the
-            # key, so a mutation makes old entries unreachable rather than
-            # flushing the cache.
-            key = key + (self.sharded_index.cache_generation(),)
-        return key
 
     @staticmethod
     def _covers(entry: MergedEvaluationResult, top_k: int | None) -> bool:
@@ -460,16 +455,10 @@ class ScatterGatherExecutor:
     def _cache_get(
         self, key: tuple, top_k: int | None = None
     ) -> MergedEvaluationResult | None:
-        if self.cache is None:
-            return None
         hit = self.cache.get(key, accept=lambda entry: self._covers(entry, top_k))
         if hit is None:
             return None
         return self._detached(hit, from_cache=True, top_k=top_k)
-
-    def _cache_put(self, key: tuple, merged: MergedEvaluationResult) -> None:
-        if self.cache is not None:
-            self.cache.put(key, merged)
 
     #: Sentinel for "hand the result back at its own width" (``None`` is a
     #: meaningful top_k value -- the full ranking -- so it cannot be used).

@@ -8,14 +8,16 @@ global (a shard keeps the original ids), so per-shard evaluation results
 merge without translation, and every node lives in exactly one shard, which
 is what makes per-shard evaluation of the paper's per-node semantics exact.
 
-Incremental appends route through the same partitioner and notify registered
-invalidation listeners (the query caches of any executors built on top).
+Incremental appends route through the same partitioner and move
+:attr:`ShardedIndex.generation`, the counter every coordinator on top reads
+once per query to re-bind scoring, re-plan and stop hitting stale cache
+entries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
 from repro.cluster.partition import Partitioner, make_partitioner, partition_collection
 from repro.cluster.stats import AggregatedStatistics
@@ -74,7 +76,8 @@ class ShardedIndex:
         node_ids = collection.node_ids()
         self._max_node_id = node_ids[-1] if node_ids else None
         self._statistics: AggregatedStatistics | None = None
-        self._invalidation_listeners: list[Callable[[], None]] = []
+        #: Moves exactly when query results may change (see :meth:`add_node`).
+        self.generation = 0
 
     def _build_shard_index(self, shard_collection: Collection, shard_id: int):
         """Build one shard's index; the live subclass overrides this hook."""
@@ -137,8 +140,7 @@ class ShardedIndex:
 
         Global node ids must be strictly increasing (the same append-only
         contract as :meth:`InvertedIndex.add_node`); within a shard they then
-        are as well.  Statistics are invalidated and all registered listeners
-        (query caches) are notified.
+        are as well.  Statistics are dropped, then :attr:`generation` moves.
         """
         if self._max_node_id is not None and node.node_id <= self._max_node_id:
             from repro.exceptions import IndexError_
@@ -159,7 +161,7 @@ class ShardedIndex:
         self._assignment[node.node_id] = shard_id
         self._max_node_id = node.node_id
         self._statistics = None
-        self._notify_invalidation()
+        self.generation += 1
 
     def add_text(self, text: str, tokenizer=None, metadata=None) -> int:
         """Tokenize ``text``, append it as a new node, and return its id."""
@@ -171,32 +173,6 @@ class ShardedIndex:
     def next_node_id(self) -> int:
         """The id :meth:`add_text` would assign next (global, not per shard)."""
         return 0 if self._max_node_id is None else self._max_node_id + 1
-
-    def add_invalidation_listener(self, listener: Callable[[], None]) -> None:
-        """Call ``listener`` after every mutation (query-cache invalidation)."""
-        self._invalidation_listeners.append(listener)
-
-    def remove_invalidation_listener(self, listener: Callable[[], None]) -> None:
-        """Deregister a listener (no-op if absent); executors call this on close."""
-        try:
-            self._invalidation_listeners.remove(listener)
-        except ValueError:
-            pass
-
-    def _notify_invalidation(self) -> None:
-        for listener in self._invalidation_listeners:
-            listener()
-
-    def cache_generation(self) -> int | None:
-        """The cache-keying generation, or ``None`` for listener invalidation.
-
-        A static sharded index has no cheap notion of "which version of the
-        data produced this result", so result caches built on top register an
-        invalidation listener and flush wholesale on every mutation.  The
-        live subclass returns a real generation instead, letting caches key
-        entries by data version and keep old entries merely unreachable.
-        """
-        return None
 
     # ------------------------------------------------------------ diagnostics
     def shard_stats(self) -> list[dict[str, int]]:

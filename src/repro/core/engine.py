@@ -30,92 +30,69 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.cluster.cache import DEFAULT_CACHE_SIZE, QueryCache
 from repro.cluster.live import LiveShardedIndex
 from repro.cluster.merge import MergedEvaluationResult
 from repro.cluster.scatter import ScatterGatherExecutor
 from repro.cluster.sharded_index import ShardedIndex
 from repro.corpus.collection import Collection
-from repro.exceptions import ReproError, ScoringError
+from repro.exceptions import ReproError
 from repro.index.inverted_index import InvertedIndex
 from repro.segments.live_index import LiveIndex
 from repro.languages import ast
 from repro.model.predicates import Predicate, PredicateRegistry, default_registry
-from repro.scoring.base import ScoringModel, get_model
-from repro.engine.executor import AUTO, EvaluationResult, Executor
+from repro.scoring.base import ScoringModel
+from repro.engine.executor import AUTO, EvaluationResult
 from repro.engine.topk import check_top_k
 from repro.planner import DEFAULT_OPTIMIZER
 from repro.core.query import Query, parse_query
 from repro.core.results import SearchResult, SearchResults
 
-#: Sentinel distinguishing "caller did not mention cache_size" from an
-#: explicit value: an explicit request at shards=1 builds a one-shard
-#: cluster so the cache actually applies.
-_CACHE_UNSET = object()
-
 
 class FullTextEngine:
     """Index + parser + evaluator + scorer behind one convenient API.
 
-    The engine runs in one of two modes, chosen by the index it is given:
+    Every index runs through one dispatch path, a
+    :class:`~repro.cluster.scatter.ScatterGatherExecutor` coordinator: it
+    classifies and plans each query once, evaluates it on the index's
+    shards -- a :class:`~repro.cluster.sharded_index.ShardedIndex`'s N, or
+    any single index as the one shard -- and merges the answers (identical
+    node ids and scores for every shard count, see :mod:`repro.cluster`)
+    with per-query shard/cache metadata.
 
-    * a plain :class:`InvertedIndex` -- the single-index path of the paper;
-    * a :class:`~repro.cluster.sharded_index.ShardedIndex` -- the
-      scatter-gather executor evaluates every query on every shard and the
-      merged results (identical node ids and scores, see
-      :mod:`repro.cluster`) come back with per-query cache/shard metadata.
-
-    ``cache_size`` belongs to the cluster path and has no effect when the
-    index is a plain :class:`InvertedIndex`; to get a cached engine without
-    real sharding, use :meth:`from_collection` with an explicit
-    ``cache_size`` (it builds a one-shard cluster) or pass a one-shard
-    :class:`ShardedIndex` here.  ``max_workers`` is accepted and ignored:
-    shards always run in the calling thread, and existing callers still
-    pass it.
+    ``cache_size`` means one thing on every index: ``None`` (the default)
+    or 0 runs uncached, N keeps an N-entry LRU result cache.  Every index
+    has a ``generation`` that moves exactly when results may change (an
+    append; a live update or delete -- never a flush or compaction); the
+    next query then re-binds the scoring model, drops the planner memo and
+    stops hitting cache entries from before the write.  ``max_workers`` is
+    accepted and ignored: shards always run in the calling thread, and
+    existing callers still pass it.
     """
 
     def __init__(
         self,
-        index: "InvertedIndex | ShardedIndex",
+        index: "InvertedIndex | LiveIndex | ShardedIndex",
         registry: PredicateRegistry | None = None,
         scoring: "str | ScoringModel | None" = None,
         npred_orders: str = "minimal",
         access_mode: str = "paper",
         max_workers: int | None = None,
-        cache_size: int | None = DEFAULT_CACHE_SIZE,
+        cache_size: int | None = None,
         optimizer: str = DEFAULT_OPTIMIZER,
     ) -> None:
         self.index = index
         self.registry = registry or default_registry()
         self.access_mode = access_mode
         self.optimizer = optimizer
-        self._executor: Executor | None = None
-        self._cluster: ScatterGatherExecutor | None = None
-        self._scoring_spec = scoring
-        self._scoring_generation: int | None = None
-        if isinstance(index, ShardedIndex):
-            self._cluster = ScatterGatherExecutor(
-                index,
-                self.registry,
-                scoring,
-                npred_orders=npred_orders,
-                access_mode=access_mode,
-                cache_size=cache_size,
-                optimizer=optimizer,
-            )
-            self._scoring = None
-        else:
-            self._scoring = self._resolve_scoring(scoring)
-            self._executor = Executor(
-                index,
-                self.registry,
-                self.scoring,
-                npred_orders=npred_orders,
-                access_mode=access_mode,
-                optimizer=optimizer,
-            )
-            if isinstance(index, LiveIndex):
-                self._scoring_generation = index.generation
+        self._coordinator = ScatterGatherExecutor(
+            index,
+            self.registry,
+            scoring,
+            npred_orders=npred_orders,
+            access_mode=access_mode,
+            cache_size=cache_size,
+            optimizer=optimizer,
+        )
 
     # -------------------------------------------------------------- builders
     @classmethod
@@ -127,7 +104,7 @@ class FullTextEngine:
         access_mode: str = "paper",
         shards: int = 1,
         partitioner: str = "hash",
-        cache_size=_CACHE_UNSET,
+        cache_size: int | None = None,
         live: bool = False,
         live_dir=None,
         flush_threshold: int | None = None,
@@ -138,9 +115,9 @@ class FullTextEngine:
         With ``shards > 1`` the collection is partitioned (see
         ``partitioner``: ``"hash"``, ``"round-robin"`` or
         ``"metadata:<key>"``) and every search runs scatter-gather across the
-        shards with an LRU result cache of ``cache_size`` entries
-        (``cache_size=None`` disables caching); the shards are evaluated one
-        after another in the calling thread.
+        shards, one after another in the calling thread.  ``cache_size``
+        adds an LRU result cache of that many entries at any shard count
+        (``None``, the default, or 0 runs uncached).
 
         With ``live=True`` the index is built on the log-structured segment
         subsystem (:mod:`repro.segments`) and the engine accepts
@@ -149,13 +126,6 @@ class FullTextEngine:
         WAL + segment-file persistence; ``flush_threshold`` bounds the
         memtable (documents per segment seal).
 
-        Caching lives in the cluster layer, so *explicitly* requesting a
-        cache at ``shards=1`` builds a one-shard cluster (the same code
-        path as N shards, identical results) instead of silently dropping the
-        request -- the shape a cached long-running server such as
-        ``repro serve`` uses.  Left unspecified, ``shards=1`` stays the
-        plain single-index path.
-
         ``optimizer`` selects the planning layer's mode: ``"off"`` (the
         default) builds plan artifacts but defers every choice to the
         builtin heuristics, ``"on"`` picks join order, merge strategy and
@@ -163,25 +133,16 @@ class FullTextEngine:
         plan per canonical query.  Results are pinned bit-identical across
         both modes.
         """
-        requested_cache = (
-            DEFAULT_CACHE_SIZE if cache_size is _CACHE_UNSET else cache_size
-        )
-        if not requested_cache:  # 0 disables caching, like the CLI flag
-            requested_cache = None
-        wants_cluster = shards > 1 or (
-            cache_size is not _CACHE_UNSET and requested_cache is not None
-        )
         live_options = {}
         if flush_threshold is not None:
             live_options["flush_threshold"] = flush_threshold
-        if wants_cluster:
-            if live:
-                index: "InvertedIndex | ShardedIndex" = LiveShardedIndex(
-                    collection, shards, partitioner,
-                    directory=live_dir, **live_options,
-                )
-            else:
-                index = ShardedIndex(collection, shards, partitioner)
+        if shards > 1 and live:
+            index = LiveShardedIndex(
+                collection, shards, partitioner,
+                directory=live_dir, **live_options,
+            )
+        elif shards > 1:
+            index = ShardedIndex(collection, shards, partitioner)
         elif live:
             index = LiveIndex(collection, directory=live_dir, **live_options)
         else:
@@ -191,7 +152,7 @@ class FullTextEngine:
             registry,
             scoring,
             access_mode=access_mode,
-            cache_size=requested_cache,
+            cache_size=cache_size,
             optimizer=optimizer,
         )
 
@@ -214,25 +175,17 @@ class FullTextEngine:
     # ------------------------------------------------------------------ API
     @property
     def scoring(self) -> ScoringModel | None:
-        """The active scoring model.
+        """The active scoring model (one for all shards).
 
-        On the sharded path this delegates to the cluster (one model for
-        all shards), which re-binds to fresh aggregated statistics after
-        incremental updates -- a snapshot taken at construction would go stale.
+        The coordinator re-binds it to fresh statistics once the index
+        generation moves -- a snapshot taken at construction would go stale.
         """
-        if self._cluster is not None:
-            return self._cluster.scoring
-        return self._scoring
+        return self._coordinator.scoring
 
     @property
     def collection(self) -> Collection:
         """The indexed collection (the search context)."""
         return self.index.collection
-
-    @property
-    def is_sharded(self) -> bool:
-        """Whether searches run scatter-gather over a sharded index."""
-        return self._cluster is not None
 
     @property
     def is_live(self) -> bool:
@@ -241,22 +194,16 @@ class FullTextEngine:
 
     @property
     def num_shards(self) -> int:
-        """Number of index shards (1 for the single-index path)."""
-        return self._cluster.num_shards if self._cluster is not None else 1
+        """Number of index shards (1 for a single index)."""
+        return self._coordinator.num_shards
 
     def shard_stats(self) -> list[dict[str, int]]:
-        """Per-shard size figures (a single pseudo-shard when unsharded)."""
-        if isinstance(self.index, ShardedIndex):
-            return self.index.shard_stats()
-        from repro.cluster.sharded_index import Shard
-
-        return [Shard(0, self.index).describe()]
+        """Per-shard size figures (one row for a single index)."""
+        return self._coordinator.shard_stats()
 
     def cache_stats(self) -> dict[str, float]:
-        """Result-cache statistics (all zeros on the single-index path)."""
-        if self._cluster is not None:
-            return self._cluster.cache_stats()
-        return QueryCache.empty_stats()
+        """Result-cache statistics (all zeros when uncached)."""
+        return self._coordinator.cache_stats()
 
     def optimizer_stats(self) -> dict:
         """The planning layer's mode plus the planner summary.
@@ -265,9 +212,7 @@ class FullTextEngine:
         stay zero with the optimizer ``"off"``: static plans are not
         memoised work).
         """
-        if self._cluster is not None:
-            return self._cluster.optimizer_stats()
-        return {"mode": self.optimizer, **self._executor.planner.summary()}
+        return self._coordinator.optimizer_stats()
 
     def stats(self) -> dict:
         """Consolidated engine-side statistics for serving surfaces.
@@ -295,15 +240,13 @@ class FullTextEngine:
         return stats
 
     def close(self) -> None:
-        """Release cluster resources and close live-index resources.
+        """Withdraw the result cache from the gauges and close a live index.
 
         On a live index this stops background compaction and makes the WAL
-        durable; on the cluster path it additionally detaches the cluster's
-        invalidation listeners.  Idempotent.
+        durable.  Idempotent.
         """
-        if self._cluster is not None:
-            self._cluster.close()
-        if isinstance(self.index, (LiveIndex, LiveShardedIndex)):
+        self._coordinator.close()
+        if self.is_live:
             self.index.close()
 
     # -------------------------------------------------------------- mutation
@@ -352,27 +295,6 @@ class FullTextEngine:
             )
         return self.index
 
-    def _refresh_scoring(self) -> None:
-        """Re-bind the scoring model after live mutations (single path).
-
-        Statistics (df / N / norms) change with every mutation; a model
-        bound at construction would keep scoring against the old corpus.
-        The cluster path refreshes itself through the sharded index's
-        invalidation listeners; the single live path has no listeners, so
-        the engine compares the index generation lazily before each search.
-        """
-        if (
-            self._executor is None
-            or self._scoring_spec is None
-            or not isinstance(self.index, LiveIndex)
-        ):
-            return
-        generation = self.index.generation
-        if generation != self._scoring_generation:
-            self._scoring = self._resolve_scoring(self._scoring_spec)
-            self._executor.scoring = self._scoring
-            self._scoring_generation = generation
-
     def register_predicate(self, predicate: Predicate) -> None:
         """Add a user-defined position predicate usable in COMP queries."""
         self.registry.register(predicate)
@@ -414,25 +336,17 @@ class FullTextEngine:
             Attach an EXPLAIN ANALYZE payload (per-cursor operation counts,
             top-k collector statistics, cache provenance) to the result's
             ``metadata["explain"]``.  Purely observational: results are
-            bit-identical to ``explain=False``.  On the cluster path the
-            query cache is bypassed so every shard reports fresh counts.
+            bit-identical to ``explain=False``.  The result cache is
+            bypassed so every shard reports fresh counts.
         trace:
             Optional :class:`~repro.telemetry.trace.Span` receiving nested
             execution spans (``None``, the default, costs nothing).
         """
         check_top_k(top_k)
         parsed = self._as_query(query, language)
-        if self._cluster is not None:
-            outcome: EvaluationResult = self._cluster.execute(
-                parsed.node, engine=engine, top_k=top_k,
-                explain=explain, trace=trace,
-            )
-        else:
-            self._refresh_scoring()
-            outcome = self._executor.execute(
-                parsed.node, engine=engine, top_k=top_k,
-                explain=explain, trace=trace,
-            )
+        outcome = self._coordinator.execute(
+            parsed.node, engine=engine, top_k=top_k, explain=explain, trace=trace,
+        )
         return self._build_results(parsed, outcome, top_k)
 
     def search_many(
@@ -451,19 +365,9 @@ class FullTextEngine:
         """
         check_top_k(top_k)
         parsed_queries = [self._as_query(query, language) for query in queries]
-        if self._cluster is not None:
-            outcomes: Sequence[EvaluationResult] = self._cluster.execute_many(
-                [parsed.node for parsed in parsed_queries],
-                engine=engine,
-                top_k=top_k,
-            )
-        else:
-            self._refresh_scoring()
-            outcomes = self._executor.execute_many(
-                [parsed.node for parsed in parsed_queries],
-                engine=engine,
-                top_k=top_k,
-            )
+        outcomes = self._coordinator.execute_many(
+            [parsed.node for parsed in parsed_queries], engine=engine, top_k=top_k
+        )
         return [
             self._build_results(parsed, outcome, top_k)
             for parsed, outcome in zip(parsed_queries, outcomes)
@@ -477,10 +381,7 @@ class FullTextEngine:
     ) -> EvaluationResult:
         """Lower-level entry point returning the raw :class:`EvaluationResult`."""
         parsed = self._as_query(query, language)
-        if self._cluster is not None:
-            return self._cluster.execute(parsed.node, engine=engine)
-        self._refresh_scoring()
-        return self._executor.execute(parsed.node, engine=engine)
+        return self._coordinator.execute(parsed.node, engine=engine)
 
     def explain(
         self,
@@ -495,8 +396,8 @@ class FullTextEngine:
         With ``analyze=True`` the query is actually executed
         (``search(..., explain=True)``) and the static description gains an
         ``"analyze"`` key holding the EXPLAIN ANALYZE payload: the operator
-        tree with per-cursor op counts, top-k collector statistics and --
-        on the cluster path -- per-shard subtrees.
+        tree with per-cursor op counts, top-k collector statistics and one
+        subtree per shard.
         """
         parsed = self._as_query(query, language)
         from repro.engine.executor import NATIVE_ENGINE
@@ -516,19 +417,6 @@ class FullTextEngine:
         return description
 
     # ------------------------------------------------------------- internals
-    def _resolve_scoring(
-        self, scoring: "str | ScoringModel | None"
-    ) -> ScoringModel | None:
-        if scoring is None:
-            return None
-        if isinstance(scoring, ScoringModel):
-            return scoring
-        if isinstance(scoring, str):
-            return get_model(scoring, self.index.statistics)
-        raise ScoringError(
-            "scoring must be None, a model name, or a ScoringModel instance"
-        )
-
     def _preview(self, node_id: int) -> str:
         """The node's text preview, tolerant of a concurrent delete.
 
@@ -557,7 +445,7 @@ class FullTextEngine:
         return parse_query(query, language, self.registry)
 
     def _build_results(
-        self, parsed: Query, outcome: EvaluationResult, top_k: int | None = None
+        self, parsed: Query, outcome: MergedEvaluationResult, top_k: int | None = None
     ) -> SearchResults:
         ranked = outcome.ranked()
         if top_k is not None:
@@ -572,17 +460,15 @@ class FullTextEngine:
             )
             for node_id, score in ranked
         ]
-        metadata = {}
-        if isinstance(outcome, MergedEvaluationResult):
-            metadata = {"shards": outcome.shard_count}
-            if self._cluster is not None and self._cluster.cache is None:
-                metadata["cache"] = "off"
-            elif outcome.explain is not None:
-                # Explained executions bypass the cache so every shard
-                # reports fresh per-cursor counts.
-                metadata["cache"] = "bypass"
-            else:
-                metadata["cache"] = "hit" if outcome.from_cache else "miss"
+        metadata = {"shards": outcome.shard_count}
+        if self._coordinator.cache is None:
+            metadata["cache"] = "off"
+        elif outcome.explain is not None:
+            # Explained executions bypass the cache so every shard reports
+            # fresh per-cursor counts.
+            metadata["cache"] = "bypass"
+        else:
+            metadata["cache"] = "hit" if outcome.from_cache else "miss"
         if outcome.explain is not None:
             metadata["explain"] = outcome.explain
         return SearchResults(

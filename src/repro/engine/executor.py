@@ -509,10 +509,7 @@ class Executor:
         return plan
 
     def _index_generation(self) -> "int | None":
-        """The data version plans are costed at: a live index's generation.
-
-        Static indexes have none, so their memoised plans never go stale.
-        """
+        """The data version plans are costed at: the index's generation."""
         return getattr(self.index, "generation", None)
 
     def _df(self, token: "str | None") -> int:

@@ -31,6 +31,11 @@ _EMPTY_LIST = EmptyPostingList("")
 class InvertedIndex:
     """Inverted lists over a collection of context nodes."""
 
+    #: Moves on every append (:meth:`add_node`) -- exactly when query results
+    #: may change; engines re-bind scoring and re-plan when it does.  A
+    #: read-only subclass never appends, so it stays 0.
+    generation = 0
+
     def __init__(self, collection: Collection) -> None:
         self.collection = collection
         self._lists: dict[str, PostingList] = {}
@@ -68,7 +73,8 @@ class InvertedIndex:
         Inverted lists store entries in ascending node-id order, so documents
         can only be *appended*: the new node's id must be larger than every id
         already indexed (use :meth:`next_node_id` to pick one).  Statistics
-        are invalidated and recomputed lazily on next access.
+        are invalidated and recomputed lazily on next access, and
+        :attr:`generation` moves.
         """
         existing = self.collection.node_ids()
         if existing and node.node_id <= existing[-1]:
@@ -90,6 +96,7 @@ class InvertedIndex:
                 self._lists[token] = posting_list
             posting_list.add_occurrences(node.node_id, positions)
         self._statistics = None
+        self.generation += 1
 
     def add_text(self, text: str, tokenizer=None, metadata=None) -> int:
         """Tokenize ``text``, append it as a new node, and return its id."""

@@ -14,11 +14,11 @@ to.  Given a parsed query it produces a :class:`PhysicalPlan` deciding:
 
 Optimized plans are memoised per ``(canonical key, engine, access mode)``
 and reused for as long as the statistics they were costed from stay
-unchanged: forever on a static index, until the next mutation on a live one
-(the ``version`` callable), and through a rebuild on the sharded
-coordinator.  The memo keeps at most :data:`MEMO_CAPACITY` plans, evicting
-the oldest first.  A memo hit is reported with provenance ``"cached"`` so
-telemetry can distinguish fresh planning work from reuse.
+unchanged: until the index generation (the ``version`` callable) moves,
+which only a write that may change results does.  The memo keeps at most
+:data:`MEMO_CAPACITY` plans, evicting the oldest first.  A memo hit is
+reported with provenance ``"cached"`` so telemetry can distinguish fresh
+planning work from reuse.
 """
 
 from __future__ import annotations
@@ -54,11 +54,10 @@ class QueryPlanner:
     ``df`` maps a token to its document frequency; ``df(None)`` must return
     the length of the ANY list (every indexed node).  The executor backs
     this with its index / scoring statistics, the scatter layer with the
-    cluster's :class:`~repro.cluster.stats.AggregatedStatistics` -- so a
-    coordinator plans once from global statistics and ships the same plan
-    to every shard.  ``version``, when given, returns the current data
-    version of those statistics (a live index's generation); the memo is
-    cleared whenever it changes.
+    global statistics of all its shards -- so a coordinator plans once and
+    ships the same plan to every shard.  ``version``, when given, returns
+    the current data version of those statistics (the index generation);
+    the memo is cleared whenever it changes.
     """
 
     def __init__(

@@ -13,7 +13,7 @@ cannot simply call ``engine.search`` from every connection handler.  The
   :meth:`~repro.core.engine.FullTextEngine.search_many` call on a dedicated
   worker thread (the event loop never blocks on evaluation);
 * ``search_many`` amortises the cursor factory and plan cache across the
-  batch, and on the sharded path fans the *whole batch* out per shard, so
+  batch, and fans the *whole batch* out to each shard in turn, so
   coalescing is cheaper than per-request dispatch even before caching.
 
 **Equivalence contract.**  Requests in one batch may ask for different

@@ -61,10 +61,6 @@ CACHE_EVICTIONS_TOTAL = REGISTRY.counter(
     "repro_cache_evictions_total",
     "Query-cache entries evicted by LRU pressure.",
 )
-CACHE_INVALIDATIONS_TOTAL = REGISTRY.counter(
-    "repro_cache_invalidations_total",
-    "Wholesale query-cache invalidations after index mutations.",
-)
 
 # ------------------------------------------------------------ write planes
 WAL_APPENDS_TOTAL = REGISTRY.counter(

@@ -58,21 +58,17 @@ def test_update_unknown_node_raises(collection):
 
 def test_generation_counts_mutations_not_maintenance(collection):
     sharded = LiveShardedIndex(collection, 2, flush_threshold=2)
-    start = sharded.cache_generation()
+    start = sharded.generation
     sharded.add_text("one more document")
     sharded.update_text(0, "different text")
     sharded.delete_node(2)
-    assert sharded.cache_generation() == start + 3
-    generation = sharded.cache_generation()
+    assert sharded.generation == start + 3
+    assert not sharded.delete_node(2)  # nothing left to delete: no move
+    generation = sharded.generation
     sharded.flush()
     sharded.compact()
-    assert sharded.cache_generation() == generation  # maintenance is free
+    assert sharded.generation == generation  # maintenance is free
     sharded.close()
-
-
-def test_static_sharded_index_has_no_generation(collection):
-    sharded = ShardedIndex(collection, 2)
-    assert sharded.cache_generation() is None
 
 
 def test_cache_survives_flush_and_compact_but_not_mutations(collection):
@@ -91,7 +87,7 @@ def test_cache_survives_flush_and_compact_but_not_mutations(collection):
     refreshed = engine.search("'software'")
     assert refreshed.metadata["cache"] == "miss"
     stats = engine.cache_stats()
-    assert stats["invalidations"] == 0  # never flushed wholesale
+    assert (stats["hits"], stats["misses"]) == (2, 2)
     engine.close()
 
 

@@ -160,7 +160,7 @@ def test_cache_rejects_bad_capacity():
 
 
 def test_cache_is_thread_safe_under_concurrent_mixed_traffic():
-    """get / put / invalidate / stats hammered from worker threads.
+    """get / put / stats hammered from worker threads.
 
     The cache can be shared by several threads calling one engine, so
     every public entry point must hold the lock; this would
@@ -180,8 +180,6 @@ def test_cache_is_thread_safe_under_concurrent_mixed_traffic():
                 key = (worker_id * 7 + i) % 40
                 cache.put(key, i)
                 cache.get((key + 3) % 40)
-                if i % 17 == 0:
-                    cache.invalidate()
                 stats = cache.stats()
                 assert stats["size"] <= stats["capacity"]
                 len(cache)
@@ -341,47 +339,53 @@ def test_custom_scoring_instance_with_extra_ctor_args_fails_loud(collection):
         ScatterGatherExecutor(ShardedIndex(collection, 2), scoring=Weighted(stats, 2.0))
 
 
-def test_incremental_update_invalidates_cache():
+def test_static_sharded_append_makes_the_next_lookup_a_miss():
     fresh = Collection.from_texts(
         ["software usability", "task completion", "inverted lists"],
-        name="invalidation-test",
+        name="generation-test",
     )
     sharded = ShardedIndex(fresh, 2)
     scatter = ScatterGatherExecutor(sharded, cache_size=8)
     query = parse_query("'zebra' AND 'crossing'").node
     assert scatter.execute(query).node_ids == []
+    assert scatter.execute(query).from_cache
     sharded.add_text("a zebra crossing near the software lab")
     refreshed = scatter.execute(query)
-    assert not refreshed.from_cache  # the stale empty answer was dropped
+    assert not refreshed.from_cache  # the stale empty answer is unreachable
     assert refreshed.node_ids == [3]
-    assert scatter.cache_stats()["invalidations"] == 1
+    assert scatter.execute(query).from_cache  # the new entry serves again
+    stats = scatter.cache_stats()
+    assert (stats["hits"], stats["misses"]) == (2, 2)
     scatter.close()
 
 
 # ------------------------------------------------------------------- facade
 def test_facade_reports_shard_and_cache_metadata(collection):
-    engine = FullTextEngine.from_collection(collection, shards=3)
+    engine = FullTextEngine.from_collection(collection, shards=3, cache_size=128)
     results = engine.search("'software' AND 'usability'")
     assert results.metadata == {"shards": 3, "cache": "miss"}
     again = engine.search("'software' AND 'usability'")
     assert again.metadata == {"shards": 3, "cache": "hit"}
-    assert engine.is_sharded and engine.num_shards == 3
+    assert engine.num_shards == 3
     assert len(engine.shard_stats()) == 3
     engine.close()
 
 
-def test_facade_explicit_cache_at_one_shard_builds_cached_cluster(collection):
+def test_facade_caches_a_single_index(collection):
     engine = FullTextEngine.from_collection(collection, cache_size=16)
-    assert engine.is_sharded and engine.num_shards == 1
-    engine.search("'software'")
-    assert engine.search("'software'").metadata["cache"] == "hit"
+    assert type(engine.index) is InvertedIndex and engine.num_shards == 1
+    assert engine.search("'software'").metadata == {"shards": 1, "cache": "miss"}
+    assert engine.search("'software'").metadata == {"shards": 1, "cache": "hit"}
     assert engine.cache_stats()["hits"] == 1
+    assert engine.cache_stats()["capacity"] == 16
     engine.close()
 
 
-def test_facade_cache_size_zero_stays_on_the_single_index_path(collection):
-    engine = FullTextEngine.from_collection(collection, cache_size=0)
-    assert not engine.is_sharded  # 0 disables caching, like the CLI flag
+@pytest.mark.parametrize("cache_size", [None, 0])
+def test_facade_cache_size_none_or_zero_runs_uncached(collection, cache_size):
+    engine = FullTextEngine.from_collection(collection, cache_size=cache_size)
+    assert engine.search("'software'").metadata["cache"] == "off"
+    assert engine.cache_stats()["capacity"] == 0
     engine.close()
 
 
@@ -404,11 +408,11 @@ def test_facade_scoring_property_tracks_post_update_statistics():
     engine.close()
 
 
-def test_facade_single_index_has_no_cluster_metadata(collection):
+def test_facade_single_index_is_the_one_shard_case(collection):
     engine = FullTextEngine.from_collection(collection)
     results = engine.search("'software'")
-    assert results.metadata == {}
-    assert not engine.is_sharded and engine.num_shards == 1
+    assert results.metadata == {"shards": 1, "cache": "off"}
+    assert engine.num_shards == 1
     assert len(engine.shard_stats()) == 1
     assert engine.cache_stats()["capacity"] == 0
     engine.close()

@@ -100,31 +100,6 @@ def test_add_node_enforces_increasing_ids(collection):
         sharded.add_node(ContextNode.from_text(3, "duplicate id"))
 
 
-def test_invalidation_listeners_fire_on_updates(collection):
-    sharded = ShardedIndex(collection, 2)
-    calls = []
-    listener = lambda: calls.append(1)  # noqa: E731
-    sharded.add_invalidation_listener(listener)
-    sharded.add_text("new document")
-    sharded.add_text("another document")
-    assert len(calls) == 2
-    sharded.remove_invalidation_listener(listener)
-    sharded.remove_invalidation_listener(listener)  # no-op when absent
-    sharded.add_text("a third document")
-    assert len(calls) == 2
-
-
-def test_closed_executor_deregisters_its_listeners(collection):
-    from repro.cluster import ScatterGatherExecutor
-
-    sharded = ShardedIndex(collection, 2)
-    scatter = ScatterGatherExecutor(sharded, scoring="tfidf", cache_size=8)
-    # cache invalidation + scoring staleness + planner staleness
-    assert len(sharded._invalidation_listeners) == 3
-    scatter.close()
-    assert sharded._invalidation_listeners == []
-
-
 def test_add_node_rejects_out_of_range_partitioner_assignment(collection):
     from repro.cluster.partition import Partitioner
     from repro.corpus import ContextNode

@@ -94,4 +94,4 @@ def test_engine_rejects_unknown_access_mode():
 def test_facade_exposes_access_mode():
     engine = FullTextEngine.from_texts(TEXTS, access_mode="fast")
     assert engine.access_mode == "fast"
-    assert engine._executor.access_mode == "fast"
+    assert engine._coordinator.access_mode == "fast"

@@ -60,8 +60,8 @@ def test_explain_operator_rows_pair_estimates_with_observations(
     engine = make_engine(skewed_collection)
     try:
         results = engine.search(QUERY, explain=True)
-        payload = results.metadata["explain"]
-        rows = {row["token"]: row for row in payload["operators"]}
+        (shard,) = results.metadata["explain"]["shards"]
+        rows = {row["token"]: row for row in shard["operators"]}
         for token in ("rare", "common"):
             row = rows[token]
             assert row["estimated_ops"] > 0

@@ -157,7 +157,8 @@ def test_http_explain_via_query_string(server_collection):
             "GET", "/search?q=%27usability%27&top_k=2&explain=true"
         )
         assert status == 200
-        assert payload["explain"]["operator"] == "execute"
+        assert payload["explain"]["operator"] == "scatter"
+        assert payload["explain"]["shards"][0]["operator"] == "execute"
         status, payload = server.request(
             "GET", "/search?q=%27usability%27&top_k=2&explain=nonsense"
         )

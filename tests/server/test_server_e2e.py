@@ -394,3 +394,34 @@ def test_serve_http_subprocess_sigterm_exits_zero(server_collection, tmp_path):
         if line.strip()
     ]
     assert any(entry["path"] == "/search" for entry in entries)
+
+
+def test_serve_http_live_directory_honours_cache_size(tmp_path, monkeypatch):
+    """``serve-http DIR`` serves a live data directory behind the
+    ``--cache-size`` result cache, exactly like a collection file."""
+    docs = tmp_path / "docs.txt"
+    docs.write_text(
+        "usability testing of efficient software\n"
+        "software measures task completion\n"
+        "databases index tokens for retrieval\n",
+        encoding="utf-8",
+    )
+    data_dir = tmp_path / "live"
+    assert main(["ingest", str(docs), "--data-dir", str(data_dir)]) == 0
+    seen = {}
+
+    def serve_in_test(engine, config):
+        with RunningServer(engine, config) as server:
+            seen["cache"] = [
+                server.request("GET", "/search?q=%27software%27&top_k=2")[1]["cache"]
+                for _ in range(2)
+            ]
+            _, seen["stats"] = server.request("GET", "/stats")
+        return 0
+
+    monkeypatch.setattr("repro.server.serve", serve_in_test)
+    assert main(["serve-http", str(data_dir), "--cache-size", "7"]) == 0
+    assert seen["cache"] == ["miss", "hit"]
+    cache = seen["stats"]["engine"]["cache"]
+    assert cache["capacity"] == 7
+    assert cache["hits"] >= 1

@@ -26,13 +26,22 @@ def assert_same_results(plain, explained):
     assert plain.total_matches == explained.total_matches
 
 
+def only_shard(payload: dict) -> dict:
+    """A single index's EXPLAIN: the one-shard scatter around its subtree."""
+    assert payload["operator"] == "scatter"
+    assert payload["shard_count"] == 1
+    (shard,) = payload["shards"]
+    assert shard["operator"] == "execute"
+    assert shard["cursor_totals"] == payload["cursor_totals"]
+    return shard
+
+
 # ------------------------------------------------------------- single index
 def test_explain_counts_equal_cursor_stats_delta(collection):
     engine = make_engine(collection)
     try:
         results = engine.search(QUERY, explain=True)
-        payload = results.metadata["explain"]
-        assert payload["operator"] == "execute"
+        payload = only_shard(results.metadata["explain"])
         operator_sum = sum_counts(payload["operators"]).as_extended_dict()
         assert operator_sum == payload["cursor_totals"]
         assert operator_sum == results.cursor_stats.as_extended_dict()
@@ -82,14 +91,18 @@ def test_explain_shape_is_stable_across_access_modes(collection, access_mode):
         assert payload["access_mode"] == access_mode
         assert payload["engine"] == "bool"
         assert payload["language_class"] == "BOOL-NONEG"
-        assert {row["token"] for row in payload["operators"]} == {
+        assert {row["token"] for row in only_shard(payload)["operators"]} == {
             "usability",
             "software",
         }
         rendered = render_explain(payload)
         assert rendered.startswith("EXPLAIN ANALYZE")
+        assert "scatter shards=1 cache=off" in rendered
         assert "cursor totals:" in rendered
         assert "top-k: k=5" in rendered
+        # The shard subtree renders exactly as a standalone executor's tree.
+        shard_tree = render_explain(only_shard(payload)).splitlines()[3:]
+        assert all(line in rendered for line in shard_tree)
     finally:
         engine.close()
 
@@ -98,7 +111,7 @@ def test_explain_distance_query_counts_positions(collection):
     engine = make_engine(collection)
     try:
         results = engine.search(DIST_QUERY, explain=True)
-        payload = results.metadata["explain"]
+        payload = only_shard(results.metadata["explain"])
         totals = payload["cursor_totals"]
         assert totals["get_positions_calls"] > 0
         assert totals == sum_counts(payload["operators"]).as_extended_dict()

@@ -115,9 +115,8 @@ def test_cache_gauges_track_entries_capacity_and_unregister():
     assert entries.value() - entries_before == 2
     cache.put("c", 3)  # evicts the LRU entry: net count stays 2
     assert entries.value() - entries_before == 2
-    cache.invalidate()
-    assert entries.value() == entries_before
-    cache.put("d", 4)
+    cache.put("c", 4)  # overwrites in place: still 2
+    assert entries.value() - entries_before == 2
     cache.unregister()
     assert entries.value() == entries_before
     assert capacity.value() == capacity_before

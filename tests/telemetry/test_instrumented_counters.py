@@ -10,6 +10,7 @@ from __future__ import annotations
 import threading
 
 from repro.core.engine import FullTextEngine
+from repro.corpus import Collection
 from repro.telemetry import instruments
 from repro.telemetry.registry import render_metrics
 
@@ -49,8 +50,11 @@ def test_topk_counters_track_the_collector(collection):
         engine.close()
 
 
-def test_cache_counters_see_miss_hit_eviction_invalidation(collection):
-    engine = make_engine(collection, shards=2, cache_size=1)
+def test_cache_counters_see_miss_hit_eviction_and_writes(collection):
+    engine = make_engine(  # a private copy: the write must not leak
+        Collection.from_nodes(list(collection), name="counted"),
+        shards=2, cache_size=1,
+    )
     try:
         miss_before = instruments.CACHE_LOOKUPS_TOTAL.value("miss")
         hit_before = instruments.CACHE_LOOKUPS_TOTAL.value("hit")
@@ -59,12 +63,22 @@ def test_cache_counters_see_miss_hit_eviction_invalidation(collection):
         engine.search(QUERY, top_k=3)  # miss, fills the single slot
         engine.search(QUERY, top_k=3)  # hit
         engine.search("'usability'", top_k=3)  # miss, evicts the first entry
+        engine.add_document("usability first")  # moves the generation
+        engine.search("'usability'", top_k=3)  # miss, evicts the stale entry
 
-        assert instruments.CACHE_LOOKUPS_TOTAL.value("miss") == miss_before + 2
+        assert instruments.CACHE_LOOKUPS_TOTAL.value("miss") == miss_before + 3
         assert instruments.CACHE_LOOKUPS_TOTAL.value("hit") == hit_before + 1
-        assert instruments.CACHE_EVICTIONS_TOTAL.value() == evict_before + 1
+        assert instruments.CACHE_EVICTIONS_TOTAL.value() == evict_before + 2
     finally:
         engine.close()
+
+
+def test_the_catalogue_has_no_invalidation_family():
+    """Writes move ``index.generation`` instead of flushing caches, so the
+    wholesale-invalidation counter is gone from the catalogue."""
+    assert instruments.REGISTRY.get("repro_cache_invalidations_total") is None
+    assert instruments.REGISTRY.get("repro_cache_evictions_total") is not None
+    assert "repro_cache_invalidations_total" not in render_metrics()
 
 
 def test_scatter_task_counter_counts_shards_per_query(collection):

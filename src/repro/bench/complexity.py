@@ -7,7 +7,8 @@ parameters of Section 5.1.2 (``cnodes``, ``pos_per_cnode``,
 (``toks_Q``, ``preds_Q``, ``ops_Q``).
 
 :func:`hierarchy_table` evaluates them for ``repro experiment --figure 3``
-and ``repro info``; the measured Figures 5--8 show the same shapes (e.g.
+(``repro stats`` prints an index's own data-size parameters under
+``"complexity"``); the measured Figures 5--8 show the same shapes (e.g.
 PPRED grows linearly in ``pos_per_entry`` while COMP grows polynomially in
 ``pos_per_cnode``).
 """

@@ -2,40 +2,36 @@
 
 The CLI exposes the typical lifecycle of the library without writing Python:
 
-* ``repro index``       -- tokenize documents and persist a collection/index;
-* ``repro search``      -- run a BOOL / DIST / COMP query against a saved index
-  (``--access-mode fast`` switches to seek-based skipping);
-* ``repro explain``     -- show a query's language class, engine, measures and
-  calculus form; with ``--index`` it also *runs* the query and prints an
-  EXPLAIN ANALYZE operator tree with per-cursor operation counts;
-* ``repro metrics``     -- Prometheus text metrics: scrape a running
-  ``serve-http`` instance's ``/metrics``, or dump this process's registry;
-* ``repro info``        -- corpus statistics and complexity parameters of an index;
-* ``repro index-stats`` -- posting-storage statistics and the memory footprint
-  of the columnar arrays;
-* ``repro shard-stats`` -- how a partitioner would spread an index over N
-  shards (per-shard sizes and balance);
-* ``repro serve``       -- a long-running query server reading one query per
-  stdin line (REPL on a terminal, batch otherwise) with per-query latency and
-  cache statistics; ``--live`` enables the mutation commands (``:add``,
-  ``:update``, ``:delete``, ``:flush``, ``:compact``, ``:segments``);
+* ``repro index``       -- tokenize documents and persist a collection file;
+* ``repro search``      -- run a BOOL / DIST / COMP query against PATH
+  (``--access-mode fast`` switches to seek-based skipping; ``--explain``
+  adds the query's language class, engine, measures and calculus form and
+  the EXPLAIN ANALYZE operator tree with per-cursor operation counts);
 * ``repro serve-http``  -- the network query service: an asyncio HTTP/JSON
   server with request micro-batching, per-request deadlines, admission
   control, ``/health`` + ``/stats`` endpoints and graceful SIGTERM drain
-  (see :mod:`repro.server`); accepts a saved collection file or a live
-  data directory;
-* ``repro doctor``      -- validate the environment (and optionally an index
-  file / live data directory, or a host:port) before serving traffic;
+  (see :mod:`repro.server`);
 * ``repro ingest``      -- tail a document stream (file or stdin) into a live
   index, optionally interleaving queries to measure serving under ingest;
-* ``repro segment-stats`` -- per-segment sizes and tombstone counts of a live
-  index (a saved collection or a persisted live-index directory);
-* ``repro experiment``  -- regenerate the paper's Figure 3, Figures 5--8 and
-  the design ablations as text tables;
+* ``repro stats``       -- the engine statistics ``/stats`` serves under
+  ``"engine"``, printed as JSON for an engine with the library defaults:
+  per-shard and per-segment sizes, shard balance, the paper's complexity
+  parameters, the memory footprint and the packed-size estimate;
+* ``repro doctor``      -- validate the environment (and optionally PATH, or
+  a host:port) before serving traffic;
+* ``repro metrics``     -- Prometheus text metrics: scrape a running
+  ``serve-http`` instance's ``/metrics``, or dump this process's registry;
 * ``repro replay``      -- drive a captured (``serve-http --capture``) or
   synthetic zipfian workload against an engine or a live HTTP endpoint,
   with explicit cache-warming phases, results verified bit-identical to
-  direct ``engine.search`` before timing.
+  direct ``engine.search`` before timing;
+* ``repro experiment``  -- regenerate the paper's Figure 3, Figures 5--8 and
+  the design ablations as text tables.
+
+``search``, ``serve-http`` and ``stats`` open PATH one way
+(:func:`_open_engine`): a collection file written by ``repro index`` is
+indexed in memory, a directory written by ``repro ingest --data-dir``
+reopens in place, and any other directory is an error.
 
 Invoke as ``python -m repro ...`` (or the ``repro`` console script when the
 package is installed with entry points enabled).
@@ -44,6 +40,7 @@ package is installed with entry points enabled).
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 import time
 from pathlib import Path
@@ -59,25 +56,32 @@ from repro.bench.figures import (
     run_all,
 )
 from repro.bench.reporting import render_report, shape_summary, table_to_text
-from repro.cluster import ShardedIndex, balance_report
+from repro.cluster.live import LiveShardedIndex, shard_directories
+from repro.cluster.partition import make_partitioner
 from repro.core.engine import FullTextEngine
-from repro.core.query import parse_query
 from repro.corpus.loaders import load_directory, load_text_files
 from repro.exceptions import ReproError
 from repro.index.inverted_index import InvertedIndex
-from repro.index.packed import packed_index_bytes
-from repro.index.storage import load_collection, load_index, save_collection
+from repro.index.storage import load_collection, save_collection
 from repro.planner import DEFAULT_OPTIMIZER, OPTIMIZER_MODES
-from repro.telemetry import LatencyRecorder, format_latency_summary
+from repro.segments import LiveIndex
+from repro.segments.live_index import MANIFEST_NAME
+from repro.telemetry import LatencyRecorder, render_explain
 from repro.telemetry.latency import _fmt_ms
+
+#: The positional argument of every command that opens an engine.
+_PATH_HELP = (
+    "a collection file written by 'repro index', or a live data directory "
+    "written by 'repro ingest --data-dir'"
+)
 
 
 def _positive_int(text: str) -> int:
-    """Argparse type for ``--top-k``: the uniform ``top_k >= 1`` contract.
+    """Argparse type for counts that must be ``>= 1`` (``--top-k``, ``--shards``).
 
     Matches the :func:`repro.engine.topk.check_top_k` validation applied by
-    the engine and cluster entry points, so a bad ``k`` fails at argument
-    parsing instead of deep inside a search.
+    the engine and cluster entry points, so a bad value fails at argument
+    parsing (exit 2) instead of deep inside a search.
     """
     try:
         value = int(text)
@@ -102,13 +106,14 @@ def _add_optimizer_argument(command: argparse.ArgumentParser) -> None:
 
 
 def _add_sharding_arguments(command: argparse.ArgumentParser) -> None:
-    """The sharding knobs shared by ``search``, ``serve`` and ``shard-stats``."""
+    """The sharding knobs shared by the commands that build an engine."""
     command.add_argument(
         "--shards",
-        type=int,
-        default=1,
+        type=_positive_int,
+        default=None,
         help="partition the index over N shards and run scatter-gather "
-        "(default: 1, a single index)",
+        "(default: 1, a single index); a live data directory keeps the "
+        "shard count it was written with, and a different N is an error",
     )
     command.add_argument(
         "--partitioner",
@@ -144,8 +149,8 @@ def build_argument_parser() -> argparse.ArgumentParser:
         "--strip-tags", action="store_true", help="strip XML/HTML tags before indexing"
     )
 
-    search_cmd = subparsers.add_parser("search", help="run a query against a saved index")
-    search_cmd.add_argument("index_file", help="collection file written by 'repro index'")
+    search_cmd = subparsers.add_parser("search", help="run a query against PATH")
+    search_cmd.add_argument("path", help=_PATH_HELP)
     search_cmd.add_argument("query", help="the query text")
     search_cmd.add_argument(
         "--language", default="auto", choices=["auto", "bool", "dist", "comp"]
@@ -164,51 +169,20 @@ def build_argument_parser() -> argparse.ArgumentParser:
         help="'paper' charges seeks as sequential scans (the paper's cost "
         "model); 'fast' uses galloping seeks (the production path)",
     )
+    search_cmd.add_argument(
+        "--explain", action="store_true",
+        help="after the results, print the query's language class, engine, "
+        "measures and calculus form and the EXPLAIN ANALYZE operator tree "
+        "(per-cursor operation counts, top-k pruning, wall time)",
+    )
     _add_optimizer_argument(search_cmd)
     _add_sharding_arguments(search_cmd)
-
-    serve_cmd = subparsers.add_parser(
-        "serve",
-        help="serve queries from stdin (one per line) with latency stats",
-    )
-    serve_cmd.add_argument("index_file", help="collection file written by 'repro index'")
-    serve_cmd.add_argument(
-        "--language", default="auto", choices=["auto", "bool", "dist", "comp"]
-    )
-    serve_cmd.add_argument(
-        "--scoring", default="tfidf", choices=["none", "tfidf", "probabilistic"]
-    )
-    serve_cmd.add_argument("--top-k", type=_positive_int, default=5)
-    serve_cmd.add_argument(
-        "--access-mode", default="fast", choices=["paper", "fast"],
-        help="cursor access mode (default: fast, the production path)",
-    )
-    serve_cmd.add_argument(
-        "--cache-size", type=int, default=128,
-        help="LRU result-cache capacity; 0 disables caching (default: 128)",
-    )
-    serve_cmd.add_argument(
-        "--live", action="store_true",
-        help="serve a live (mutable) index: ':add TEXT', ':update ID TEXT', "
-        "':delete ID', ':flush', ':compact' and ':segments' become available",
-    )
-    serve_cmd.add_argument(
-        "--flush-threshold", type=int, default=None,
-        help="documents the live memtable holds before it is sealed "
-        "(default: 256; only with --live)",
-    )
-    _add_optimizer_argument(serve_cmd)
-    _add_sharding_arguments(serve_cmd)
 
     serve_http_cmd = subparsers.add_parser(
         "serve-http",
         help="serve queries over HTTP/JSON with micro-batching and deadlines",
     )
-    serve_http_cmd.add_argument(
-        "index_file",
-        help="collection file written by 'repro index', or a live data "
-        "directory written by 'repro ingest --data-dir'",
-    )
+    serve_http_cmd.add_argument("path", help=_PATH_HELP)
     serve_http_cmd.add_argument("--host", default="127.0.0.1")
     serve_http_cmd.add_argument(
         "--port", type=int, default=8080,
@@ -284,22 +258,6 @@ def build_argument_parser() -> argparse.ArgumentParser:
     _add_optimizer_argument(serve_http_cmd)
     _add_sharding_arguments(serve_http_cmd)
 
-    doctor_cmd = subparsers.add_parser(
-        "doctor",
-        help="validate the environment (and optionally an index) for serving",
-    )
-    doctor_cmd.add_argument(
-        "index_path", nargs="?", default=None,
-        help="a saved collection file or a live data directory to validate",
-    )
-    doctor_cmd.add_argument(
-        "--host", default=None, help="with --port: check the bind address"
-    )
-    doctor_cmd.add_argument(
-        "--port", type=int, default=None,
-        help="check that this TCP port can be bound",
-    )
-
     ingest_cmd = subparsers.add_parser(
         "ingest",
         help="tail documents (one per line) from a file or stdin into a live index",
@@ -337,31 +295,30 @@ def build_argument_parser() -> argparse.ArgumentParser:
     )
     _add_sharding_arguments(ingest_cmd)
 
-    explain_cmd = subparsers.add_parser(
-        "explain",
-        help="classify a query; with --index, run it and print EXPLAIN ANALYZE",
+    stats_cmd = subparsers.add_parser(
+        "stats",
+        help="print the engine statistics of PATH as JSON (the object "
+        "serve-http's /stats returns under \"engine\", for an engine with "
+        "the library defaults: paper access mode, no cache, optimizer off)",
     )
-    explain_cmd.add_argument("query", help="the query text")
-    explain_cmd.add_argument(
-        "--language", default="auto", choices=["auto", "bool", "dist", "comp"]
+    stats_cmd.add_argument("path", help=_PATH_HELP)
+    _add_sharding_arguments(stats_cmd)
+
+    doctor_cmd = subparsers.add_parser(
+        "doctor",
+        help="validate the environment (and optionally an index) for serving",
     )
-    explain_cmd.add_argument(
-        "--index", default=None, metavar="FILE",
-        help="run the query against this saved index and print the EXPLAIN "
-        "ANALYZE operator tree (per-cursor operation counts, top-k pruning, "
-        "wall time)",
+    doctor_cmd.add_argument(
+        "index_path", nargs="?", default=None,
+        help="a saved collection file or a live data directory to validate",
     )
-    explain_cmd.add_argument(
-        "--engine", default="auto", choices=["auto", "bool", "ppred", "npred", "comp"]
+    doctor_cmd.add_argument(
+        "--host", default=None, help="with --port: check the bind address"
     )
-    explain_cmd.add_argument(
-        "--scoring", default="tfidf", choices=["none", "tfidf", "probabilistic"]
+    doctor_cmd.add_argument(
+        "--port", type=int, default=None,
+        help="check that this TCP port can be bound",
     )
-    explain_cmd.add_argument("--top-k", type=_positive_int, default=None)
-    explain_cmd.add_argument(
-        "--access-mode", default="paper", choices=["paper", "fast"],
-    )
-    _add_sharding_arguments(explain_cmd)
 
     metrics_cmd = subparsers.add_parser(
         "metrics",
@@ -451,33 +408,6 @@ def build_argument_parser() -> argparse.ArgumentParser:
     )
     _add_optimizer_argument(replay_cmd)
 
-    info_cmd = subparsers.add_parser("info", help="statistics of a saved index")
-    info_cmd.add_argument("index_file")
-
-    index_stats_cmd = subparsers.add_parser(
-        "index-stats",
-        help="posting-storage statistics and columnar memory footprint",
-    )
-    index_stats_cmd.add_argument("index_file")
-
-    shard_stats_cmd = subparsers.add_parser(
-        "shard-stats",
-        help="per-shard sizes and balance for a shard count / partitioner",
-    )
-    shard_stats_cmd.add_argument("index_file")
-    _add_sharding_arguments(shard_stats_cmd)
-
-    segment_stats_cmd = subparsers.add_parser(
-        "segment-stats",
-        help="per-segment sizes and tombstones of a live index",
-    )
-    segment_stats_cmd.add_argument(
-        "index_path",
-        help="a saved collection file, or a live-index directory "
-        "(as written by 'repro ingest --data-dir')",
-    )
-    segment_stats_cmd.add_argument("--flush-threshold", type=int, default=None)
-
     experiment_cmd = subparsers.add_parser(
         "experiment", help="regenerate the paper's figures"
     )
@@ -495,42 +425,23 @@ def build_argument_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
-    parser = build_argument_parser()
-    args = parser.parse_args(argv)
+    args = build_argument_parser().parse_args(argv)
+    commands = {
+        "index": _command_index,
+        "search": _command_search,
+        "serve-http": _command_serve_http,
+        "ingest": _command_ingest,
+        "stats": _command_stats,
+        "doctor": _command_doctor,
+        "metrics": _command_metrics,
+        "replay": _command_replay,
+        "experiment": _command_experiment,
+    }
     try:
-        if args.command == "index":
-            return _command_index(args)
-        if args.command == "search":
-            return _command_search(args)
-        if args.command == "explain":
-            return _command_explain(args)
-        if args.command == "metrics":
-            return _command_metrics(args)
-        if args.command == "info":
-            return _command_info(args)
-        if args.command == "index-stats":
-            return _command_index_stats(args)
-        if args.command == "shard-stats":
-            return _command_shard_stats(args)
-        if args.command == "segment-stats":
-            return _command_segment_stats(args)
-        if args.command == "serve":
-            return _command_serve(args)
-        if args.command == "serve-http":
-            return _command_serve_http(args)
-        if args.command == "doctor":
-            return _command_doctor(args)
-        if args.command == "ingest":
-            return _command_ingest(args)
-        if args.command == "experiment":
-            return _command_experiment(args)
-        if args.command == "replay":
-            return _command_replay(args)
-        parser.error(f"unknown command {args.command!r}")
+        return commands[args.command](args)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 0
 
 
 # --------------------------------------------------------------------------
@@ -554,71 +465,128 @@ def _command_index(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_engine(args: argparse.Namespace, cache_size: int | None = None) -> FullTextEngine:
-    """Build a (possibly sharded, possibly live) engine from an index file."""
-    scoring = None if args.scoring == "none" else args.scoring
-    collection = load_collection(args.index_file)
-    return FullTextEngine.from_collection(
-        collection,
-        scoring=scoring,
-        access_mode=args.access_mode,
-        shards=args.shards,
-        partitioner=args.partitioner,
-        cache_size=cache_size,
-        live=getattr(args, "live", False),
-        flush_threshold=getattr(args, "flush_threshold", None),
-        optimizer=getattr(args, "optimizer", DEFAULT_OPTIMIZER),
-    )
+def _live_layout(directory: Path, shards: int | None) -> list[Path] | None:
+    """The live index persisted in ``directory``, by the layout rule of
+    :func:`repro.cluster.live.shard_directories`.
+
+    Returns the ``shard-NN`` directories of a live cluster, ``[]`` for a
+    single live index (a top-level manifest), or ``None`` when
+    ``directory`` holds no live index.  A ``--shards`` value that disagrees
+    with the persisted shard count is an error.
+    """
+    persisted = shard_directories(directory)
+    if not persisted and not (directory / MANIFEST_NAME).exists():
+        return None
+    count = len(persisted) or 1
+    if shards is not None and shards != count:
+        raise ReproError(
+            f"{directory} holds a {count}-shard live index; --shards {shards} "
+            f"disagrees (omit --shards to use the directory's count)"
+        )
+    return persisted
+
+
+def _open_engine(
+    path: "str | Path",
+    shards: int | None,
+    partitioner: str,
+    *,
+    live: bool = False,
+    flush_threshold: int | None = None,
+    **options,
+) -> FullTextEngine:
+    """Open ``path`` as an engine: the one opener of every command.
+
+    A collection file is indexed in memory, partitioned into ``shards``
+    (default 1) by ``partitioner`` and built live with ``live``.  A
+    directory reopens the live index persisted there (see
+    :func:`_live_layout`): as a live cluster when it holds ``shard-NN``
+    subdirectories, otherwise as one live index.  ``options`` are the
+    :class:`FullTextEngine` options (scoring, access mode, cache size,
+    optimizer); the ones a command leaves out take the library defaults.
+    """
+    make_partitioner(partitioner)  # reject a bad spec at any shard count
+    path = Path(path)
+    if not path.is_dir():
+        return FullTextEngine.from_collection(
+            load_collection(path),
+            shards=shards or 1,
+            partitioner=partitioner,
+            live=live,
+            flush_threshold=flush_threshold,
+            **options,
+        )
+    persisted = _live_layout(path, shards)
+    if persisted is None:
+        raise ReproError(
+            f"{path} is not a live data directory: it holds neither "
+            f"{MANIFEST_NAME} nor shard-NN subdirectories (write one with "
+            f"'repro ingest --data-dir')"
+        )
+    live_options = {}
+    if flush_threshold is not None:
+        live_options["flush_threshold"] = flush_threshold
+    if persisted:
+        index = LiveShardedIndex.open(
+            path, len(persisted), partitioner, **live_options
+        )
+    else:
+        index = LiveIndex.open(path, **live_options)
+    return FullTextEngine(index, **options)
+
+
+def _scoring(name: str) -> str | None:
+    return None if name == "none" else name
 
 
 def _command_search(args: argparse.Namespace) -> int:
-    engine = _load_engine(args)
-    results = engine.search(
-        args.query, language=args.language, engine=args.engine, top_k=args.top_k
+    engine = _open_engine(
+        args.path,
+        args.shards,
+        args.partitioner,
+        scoring=_scoring(args.scoring),
+        access_mode=args.access_mode,
+        optimizer=args.optimizer,
     )
-    print(results.summary())
-    if results.metadata["shards"] > 1:
-        print(f"(scatter-gather over {results.metadata['shards']} shards)")
-    collection = engine.collection
-    for rank, result in enumerate(results, start=1):
-        title = collection.get(result.node_id).metadata.get("title", "")
-        label = f" [{title}]" if title else ""
-        print(f"{rank:3d}. node {result.node_id}{label}  score={result.score:.4f}")
-        print(f"     {result.preview}")
-    engine.close()
+    try:
+        query = engine.parse(args.query, args.language)
+        results = engine.search(
+            query, engine=args.engine, top_k=args.top_k, explain=args.explain
+        )
+        print(results.summary())
+        if results.metadata["shards"] > 1:
+            print(f"(scatter-gather over {results.metadata['shards']} shards)")
+        collection = engine.collection
+        for rank, result in enumerate(results, start=1):
+            title = collection.get(result.node_id).metadata.get("title", "")
+            label = f" [{title}]" if title else ""
+            print(f"{rank:3d}. node {result.node_id}{label}  score={result.score:.4f}")
+            print(f"     {result.preview}")
+        if args.explain:
+            measures = query.measures()
+            print()
+            print(f"language class : {results.language_class.value}")
+            print(f"engine         : {results.engine}")
+            print(
+                "measures       : "
+                f"toks_Q={measures['toks_Q']} preds_Q={measures['preds_Q']} "
+                f"ops_Q={measures['ops_Q']}"
+            )
+            print(f"calculus       : {query.to_calculus().to_text()}")
+            print()
+            print(render_explain(results.metadata["explain"]))
+    finally:
+        engine.close()
     return 0
 
 
-def _command_explain(args: argparse.Namespace) -> int:
-    query = parse_query(args.query, args.language)
-    from repro.engine.executor import NATIVE_ENGINE
-
-    print(f"query          : {query.text}")
-    print(f"language class : {query.language_class.value}")
-    print(f"engine         : {NATIVE_ENGINE[query.language_class]}")
-    measures = query.measures()
-    print(
-        "measures       : "
-        f"toks_Q={measures['toks_Q']} preds_Q={measures['preds_Q']} "
-        f"ops_Q={measures['ops_Q']}"
-    )
-    print(f"calculus       : {query.to_calculus().to_text()}")
-    if getattr(args, "index", None) is None:
-        return 0
-    from repro.telemetry.explain import render_explain
-
-    args.index_file = args.index
-    engine = _load_engine(args)
+def _command_stats(args: argparse.Namespace) -> int:
+    # The library-default engine (paper access mode, uncached, optimizer
+    # off): the index-side fields match any engine over PATH, the engine
+    # options are those of FullTextEngine's defaults.
+    engine = _open_engine(args.path, args.shards, args.partitioner)
     try:
-        description = engine.explain(
-            args.query,
-            language=args.language,
-            analyze=True,
-            engine=args.engine,
-            top_k=args.top_k,
-        )
-        print()
-        print(render_explain(description["analyze"]))
+        print(json.dumps(engine.stats(), indent=2, sort_keys=True))
     finally:
         engine.close()
     return 0
@@ -683,7 +651,7 @@ def _command_replay(args: argparse.Namespace) -> int:
             "pass exactly one workload source: a capture file, or "
             "--synthetic-zipf SKEW"
         )
-    scoring = None if args.scoring == "none" else args.scoring
+    scoring = _scoring(args.scoring)
     collection = load_collection(args.index_file)
     if args.workload is not None:
         records = load_workload(args.workload)
@@ -736,99 +704,6 @@ def _command_replay(args: argparse.Namespace) -> int:
     return 0
 
 
-def _command_info(args: argparse.Namespace) -> int:
-    index = load_index(args.index_file, validate=False)
-    summary = index.collection.describe()
-    params = index.statistics.complexity_parameters()
-    print(f"collection     : {index.collection.name}")
-    for key, value in summary.items():
-        print(f"{key:22}: {value}")
-    print("complexity parameters:")
-    for key, value in params.as_dict().items():
-        print(f"  {key:20}: {value}")
-    print("analytic bounds (3 tokens, 2 predicates, 4 operations):")
-    for name, bound in hierarchy_table(params, QueryParameters(3, 2, 4)):
-        print(f"  {name:11}: {bound:,.0f} operations")
-    return 0
-
-
-def _command_index_stats(args: argparse.Namespace) -> int:
-    index = load_index(args.index_file, validate=False)
-    total_postings = sum(pl.document_frequency() for pl in index.posting_lists())
-    total_positions = sum(pl.total_positions() for pl in index.posting_lists())
-    footprint = index.memory_footprint()
-    print(f"collection     : {index.collection.name}")
-    print(f"nodes          : {index.node_count()}")
-    print(f"tokens         : {len(index.tokens())}")
-    print(f"postings       : {total_postings}")
-    print(f"positions      : {total_positions}")
-    print(f"any-list size  : {len(index.any_list())} entries, "
-          f"{index.any_list().total_positions()} positions")
-    print("columnar memory footprint:")
-    for key, value in footprint.items():
-        print(f"  {key:20}: {value:,} bytes")
-    if total_positions:
-        per_position = footprint["total_bytes"] / (
-            total_positions + index.any_list().total_positions()
-        )
-        print(f"  bytes/position      : {per_position:.1f}")
-    packed_bytes = packed_index_bytes(index)
-    source_bytes = Path(args.index_file).stat().st_size
-    print("on-disk formats:")
-    print(f"  source file         : {source_bytes:,} bytes ({args.index_file})")
-    print(f"  packed v4           : {packed_bytes:,} bytes")
-    if source_bytes:
-        print(f"  packed/source ratio : {packed_bytes / source_bytes:.2f}")
-    if footprint["total_bytes"]:
-        print(
-            f"  packed/memory ratio : "
-            f"{packed_bytes / footprint['total_bytes']:.2f}"
-        )
-    return 0
-
-
-def _command_shard_stats(args: argparse.Namespace) -> int:
-    collection = load_collection(args.index_file)
-    sharded = ShardedIndex(collection, max(args.shards, 1), args.partitioner)
-    stats = sharded.shard_stats()
-    print(f"collection     : {collection.name}")
-    print(f"partitioner    : {sharded.partitioner.describe()}")
-    print(f"shards         : {sharded.num_shards}")
-    header = f"{'shard':>5} {'nodes':>8} {'tokens':>8} {'postings':>10} {'positions':>10} {'memory':>12}"
-    print(header)
-    for row in stats:
-        print(
-            f"{row['shard']:>5} {row['nodes']:>8} {row['tokens']:>8} "
-            f"{row['postings']:>10} {row['positions']:>10} "
-            f"{row['memory_bytes']:>10,} B"
-        )
-    balance = balance_report(row["nodes"] for row in stats)
-    print(
-        f"balance        : min={balance['min']} max={balance['max']} "
-        f"mean={balance['mean']:.1f} imbalance={balance['imbalance'] * 100:.1f}%"
-    )
-    footprint = sharded.memory_footprint()
-    print(
-        f"memory         : {footprint['total_bytes']:,} B total "
-        f"(node ids {footprint['node_ids_bytes']:,} B, "
-        f"offsets {footprint['offsets_bytes']:,} B, "
-        f"bounds {footprint['entry_bounds_bytes']:,} B, "
-        f"structure {footprint['structure_bytes']:,} B)"
-    )
-    packed_total = sum(
-        packed_index_bytes(shard.index) for shard in sharded.shards
-    )
-    source_bytes = Path(args.index_file).stat().st_size
-    line = (
-        f"packed v4      : {packed_total:,} B over {sharded.num_shards} "
-        f"shard spill files"
-    )
-    if source_bytes:
-        line += f" ({packed_total / source_bytes:.2f}x the source file)"
-    print(line)
-    return 0
-
-
 def _print_segment_rows(rows: list[dict], with_shard: bool = False) -> None:
     shard_col = f"{'shard':>5} " if with_shard else ""
     print(
@@ -845,29 +720,6 @@ def _print_segment_rows(rows: list[dict], with_shard: bool = False) -> None:
         )
 
 
-def _command_segment_stats(args: argparse.Namespace) -> int:
-    from repro.segments import LiveIndex
-
-    path = Path(args.index_path)
-    kwargs = {}
-    if args.flush_threshold is not None:
-        kwargs["flush_threshold"] = args.flush_threshold
-    if path.is_dir():
-        index = LiveIndex.open(path, **kwargs)
-    else:
-        index = LiveIndex(load_collection(path), **kwargs)
-    try:
-        rows = index.segment_stats()
-        print(f"live documents : {index.node_count()}")
-        print(f"segments       : {len(rows)}")
-        _print_segment_rows(rows)
-        footprint = index.memory_footprint()
-        print(f"memory         : {footprint['total_bytes']:,} B total")
-    finally:
-        index.close()
-    return 0
-
-
 def _command_ingest(args: argparse.Namespace) -> int:
     if args.base is not None:
         collection = load_collection(args.base)
@@ -875,12 +727,18 @@ def _command_ingest(args: argparse.Namespace) -> int:
         from repro.corpus import Collection
 
         collection = Collection({}, "ingested")
-    scoring = None if args.scoring == "none" else args.scoring
+    make_partitioner(args.partitioner)  # reject a bad spec at any shard count
+    shards = args.shards or 1
+    if args.data_dir is not None and Path(args.data_dir).is_dir():
+        # Append to what the directory holds, at its own shard count.
+        persisted = _live_layout(Path(args.data_dir), args.shards)
+        if persisted is not None:
+            shards = len(persisted) or 1
     engine = FullTextEngine.from_collection(
         collection,
-        scoring=scoring,
+        scoring=_scoring(args.scoring),
         access_mode=args.access_mode,
-        shards=args.shards,
+        shards=shards,
         partitioner=args.partitioner,
         live=True,
         live_dir=args.data_dir,
@@ -930,180 +788,25 @@ def _command_ingest(args: argparse.Namespace) -> int:
             f"compacted: merged {report['segments_merged']} segments in "
             f"{report['merges']} merge(s); {len(rows)} segment(s) remain"
         )
-    _print_segment_rows(rows, with_shard=args.shards > 1)
+    _print_segment_rows(rows, with_shard=engine.num_shards > 1)
     engine.close()
     return 0
-
-
-def _serve_live_command(engine: FullTextEngine, command: str) -> bool:
-    """Execute a live mutation command; returns False when unrecognised."""
-    parts = command.split(None, 1)
-    head = parts[0]
-    rest = parts[1] if len(parts) > 1 else ""
-    if head == ":add":
-        if not rest:
-            print("usage: :add TEXT")
-            return True
-        node_id = engine.add_document(rest)
-        print(f"added node {node_id}")
-        return True
-    if head == ":update":
-        pieces = rest.split(None, 1)
-        if len(pieces) < 2 or not pieces[0].isdigit():
-            print("usage: :update ID TEXT")
-            return True
-        engine.update_document(int(pieces[0]), pieces[1])
-        print(f"updated node {pieces[0]}")
-        return True
-    if head == ":delete":
-        if not rest.strip().isdigit():
-            print("usage: :delete ID")
-            return True
-        removed = engine.delete_document(int(rest.strip()))
-        print(f"deleted node {rest.strip()}" if removed else f"no node {rest.strip()}")
-        return True
-    if head == ":flush":
-        engine.flush()
-        print(f"flushed; {len(engine.segment_stats())} segment(s)")
-        return True
-    if head == ":compact":
-        report = engine.compact()
-        print(
-            f"compacted {report['segments_merged']} segment(s) in "
-            f"{report['merges']} merge(s); {len(engine.segment_stats())} remain"
-        )
-        return True
-    if head == ":segments":
-        _print_segment_rows(engine.segment_stats(), with_shard=engine.num_shards > 1)
-        return True
-    return False
-
-
-def _command_serve(args: argparse.Namespace) -> int:
-    cache_size = args.cache_size if args.cache_size > 0 else None
-    engine = _load_engine(args, cache_size=cache_size)
-    interactive = sys.stdin.isatty()
-    if interactive:  # pragma: no cover - exercised manually
-        live_note = ", live" if getattr(args, "live", False) else ""
-        print(
-            f"repro serve: {engine.collection.name!r}, "
-            f"{engine.num_shards} shard(s), scoring={args.scoring}, "
-            f"cache={args.cache_size}{live_note}"
-        )
-        print("one query per line; ':stats' for statistics, ':quit' to exit")
-        if engine.is_live:
-            print(
-                "live commands: ':add TEXT', ':update ID TEXT', ':delete ID', "
-                "':flush', ':compact', ':segments'"
-            )
-    # The recorder keeps percentiles over a bounded window of recent
-    # requests (the mean and count cover everything served); it is the same
-    # accounting the HTTP server reports, so both frontends agree.
-    recorder = LatencyRecorder()
-    # The final summary must appear exactly once however the loop ends --
-    # ':quit', stream EOF, Ctrl-C, or an unexpected error -- so it lives in
-    # the finally block behind a once-guard.
-    summary_printed = False
-
-    def print_final_summary() -> None:
-        nonlocal summary_printed
-        if summary_printed:
-            return
-        summary_printed = True
-        print()
-        _print_serve_stats(engine, recorder)
-
-    try:
-        for line in sys.stdin:
-            query = line.strip()
-            if not query or query.startswith("#"):
-                continue
-            if query in (":quit", ":q", ":exit"):
-                break
-            if query in (":stats", ":cache"):
-                _print_serve_stats(engine, recorder)
-                continue
-            if query.startswith(":") and engine.is_live:
-                try:
-                    if _serve_live_command(engine, query):
-                        continue
-                except ReproError as exc:
-                    print(f"error: {exc}")
-                    continue
-            started = time.perf_counter()
-            try:
-                results = engine.search(
-                    query, language=args.language, top_k=args.top_k
-                )
-            except ReproError as exc:
-                print(f"error: {exc}")
-                continue
-            # Wall clock around the call, not results.elapsed_seconds: a
-            # cache hit carries the *original* evaluation time, while the
-            # request it served took microseconds.
-            latency = (time.perf_counter() - started) * 1000.0
-            recorder.record(latency)
-            cache_note = ""
-            if results.metadata.get("cache") == "hit":
-                cache_note = f" [cached, {latency:.2f} ms]"
-            print(f"> {results.summary()}{cache_note}")
-            for rank, result in enumerate(results, start=1):
-                print(
-                    f"  {rank:2d}. node {result.node_id}  "
-                    f"score={result.score:.4f}  {result.preview}"
-                )
-    except (KeyboardInterrupt, EOFError):  # pragma: no cover - interactive
-        print()
-    finally:
-        print_final_summary()
-        engine.close()
-    return 0
-
-
-def _print_serve_stats(engine: FullTextEngine, recorder: LatencyRecorder) -> None:
-    snapshot = recorder.snapshot()
-    print(
-        f"served {snapshot['count']} queries over {engine.num_shards} "
-        f"shard(s): {format_latency_summary(snapshot)}"
-    )
-    cache = engine.cache_stats()
-    print(
-        f"cache: size={cache['size']}/{cache['capacity']} "
-        f"hits={cache['hits']} misses={cache['misses']} "
-        f"hit_rate={cache['hit_rate'] * 100:.1f}% "
-        f"evictions={cache['evictions']}"
-    )
 
 
 def _command_serve_http(args: argparse.Namespace) -> int:
     from repro.server import ServerConfig, serve
 
-    cache_size = args.cache_size if args.cache_size > 0 else None
-    path = Path(args.index_file)
-    if path.is_dir():
-        # A live data directory (as written by `repro ingest --data-dir`):
-        # reopen it in place instead of loading a collection file.
-        if args.shards > 1:
-            print(
-                "error: serving a live data directory does not support "
-                "--shards > 1",
-                file=sys.stderr,
-            )
-            return 1
-        from repro.segments import LiveIndex
-
-        live_options = {}
-        if args.flush_threshold is not None:
-            live_options["flush_threshold"] = args.flush_threshold
-        engine = FullTextEngine(
-            LiveIndex.open(path, **live_options),
-            scoring=None if args.scoring == "none" else args.scoring,
-            access_mode=args.access_mode,
-            cache_size=cache_size,
-            optimizer=args.optimizer,
-        )
-    else:
-        engine = _load_engine(args, cache_size=cache_size)
+    engine = _open_engine(
+        args.path,
+        args.shards,
+        args.partitioner,
+        live=args.live,
+        flush_threshold=args.flush_threshold,
+        scoring=_scoring(args.scoring),
+        access_mode=args.access_mode,
+        cache_size=args.cache_size if args.cache_size > 0 else None,
+        optimizer=args.optimizer,
+    )
     from repro.telemetry import ReopenableLog, install_sighup_reopen
 
     # File logs are SIGHUP-reopenable so logrotate works without dropped

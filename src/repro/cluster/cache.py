@@ -18,8 +18,8 @@ Nothing is ever invalidated: a write that may change results moves the
 index generation, and a new node can change global document frequencies, so
 *every* entry keyed on the old generation is suspect, not just entries
 mentioning the node's tokens.  They simply become unreachable and age out of
-the LRU.  Hit / miss / eviction counters feed the ``repro serve`` session
-statistics.
+the LRU.  Hit / miss / eviction counters feed the ``"cache"`` entry of the
+engine statistics (``repro stats``, ``/stats``).
 """
 
 from __future__ import annotations

@@ -25,13 +25,27 @@ from repro.cluster.sharded_index import ShardedIndex
 from repro.corpus.collection import Collection
 from repro.corpus.document import ContextNode
 from repro.exceptions import ClusterError
-from repro.segments.live_index import LiveIndex
+from repro.segments.live_index import MANIFEST_NAME, LiveIndex
 from repro.segments.manager import (
     DEFAULT_COMPACTION_FANOUT,
     DEFAULT_FLUSH_THRESHOLD,
 )
 from repro.segments.stats import LiveStatistics
 from repro.segments.wal import DEFAULT_SYNC_EVERY
+
+
+def shard_directories(directory: "Path | str") -> list[Path]:
+    """The persisted shards of a live cluster directory, in shard order.
+
+    The layout rule every reader shares: a ``shard-NN`` subdirectory that
+    holds a live-index manifest is one shard.  An empty list means
+    ``directory`` is not a cluster (a single live index, or nothing yet).
+    """
+    return sorted(
+        path
+        for path in Path(directory).glob("shard-*")
+        if path.is_dir() and (path / MANIFEST_NAME).exists()
+    )
 
 
 class LiveShardedIndex(ShardedIndex):
@@ -74,13 +88,9 @@ class LiveShardedIndex(ShardedIndex):
         the rest); the shard count is part of the on-disk layout, so a
         mismatch is an error, not a reinterpretation.
         """
-        if self._directory is None or not self._directory.exists():
+        if self._directory is None:
             return
-        persisted = sorted(
-            path.name
-            for path in self._directory.glob("shard-*")
-            if path.is_dir() and (path / "MANIFEST.json").exists()
-        )
+        persisted = [path.name for path in shard_directories(self._directory)]
         if persisted and len(persisted) != num_shards:
             from repro.exceptions import StorageError
 

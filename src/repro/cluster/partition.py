@@ -42,7 +42,7 @@ class Partitioner:
         raise NotImplementedError
 
     def describe(self) -> str:
-        """Human-readable name used by ``repro shard-stats``."""
+        """Human-readable name used in error messages and ``repr``."""
         return self.name
 
 
@@ -146,7 +146,7 @@ def partition_collection(
 
 
 def balance_report(shard_sizes: Iterable[int]) -> dict[str, float]:
-    """Balance metrics of a shard layout (used by ``repro shard-stats``)."""
+    """Balance metrics of a shard layout (``"balance"`` in ``repro stats``)."""
     sizes = list(shard_sizes)
     if not sizes:
         return {"shards": 0, "min": 0, "max": 0, "mean": 0.0, "imbalance": 0.0}

@@ -39,7 +39,7 @@ class Shard:
         return self.index.collection
 
     def describe(self) -> dict[str, int]:
-        """Size figures used by ``repro shard-stats`` and the benchmarks."""
+        """Size figures for the ``"shard_stats"`` rows of ``repro stats`` and the benchmarks."""
         postings = sum(pl.document_frequency() for pl in self.index.posting_lists())
         positions = sum(pl.total_positions() for pl in self.index.posting_lists())
         return {
@@ -183,7 +183,7 @@ class ShardedIndex:
         """Columnar posting-storage bytes aggregated over every shard.
 
         The same shape as :meth:`InvertedIndex.memory_footprint`, summed
-        shard-by-shard; surfaced by ``repro shard-stats``.
+        shard-by-shard; surfaced as ``"memory"`` by ``repro stats``.
         """
         totals = {
             "node_ids_bytes": 0,

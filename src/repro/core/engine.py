@@ -32,6 +32,7 @@ from typing import Sequence
 
 from repro.cluster.live import LiveShardedIndex
 from repro.cluster.merge import MergedEvaluationResult
+from repro.cluster.partition import balance_report
 from repro.cluster.scatter import ScatterGatherExecutor
 from repro.cluster.sharded_index import ShardedIndex
 from repro.corpus.collection import Collection
@@ -84,6 +85,8 @@ class FullTextEngine:
         self.registry = registry or default_registry()
         self.access_mode = access_mode
         self.optimizer = optimizer
+        #: ``(index.generation, bytes)`` of the last packed-size estimate.
+        self._packed_bytes: tuple[int, int] | None = None
         self._coordinator = ScatterGatherExecutor(
             index,
             self.registry,
@@ -215,13 +218,19 @@ class FullTextEngine:
         return self._coordinator.optimizer_stats()
 
     def stats(self) -> dict:
-        """Consolidated engine-side statistics for serving surfaces.
+        """Consolidated engine-side statistics, the one stats payload.
 
-        One dictionary with everything the CLI spreads over ``shard-stats``,
-        ``segment-stats`` and the serve REPL's ``:stats``: per-shard sizes,
-        cache hit rates and live segment/WAL state.  ``repro serve-http``
-        returns this verbatim under the ``"engine"`` key of ``/stats``.
+        ``repro stats`` prints this dictionary and ``repro serve-http``
+        serves it verbatim under the ``"engine"`` key of ``/stats``:
+        per-shard sizes (plus their ``balance`` when there is more than one
+        shard), the paper's ``complexity`` parameters, the columnar memory
+        footprint, cache and optimizer counters, and live segment/WAL
+        state.  A static index also reports ``packed_bytes_estimate``, its
+        size written as packed v4 segments; that serialises every posting
+        once, so it is memoised per ``index.generation``.  Live indexes skip
+        it: their corpus changes under the estimate.
         """
+        shard_stats = self.shard_stats()
         stats = {
             "collection": self.collection.name,
             "nodes": self.index.node_count(),
@@ -230,14 +239,31 @@ class FullTextEngine:
             "access_mode": self.access_mode,
             "cache": self.cache_stats(),
             "optimizer": self.optimizer_stats(),
-            "shard_stats": self.shard_stats(),
+            "shard_stats": shard_stats,
             "memory": self.index.memory_footprint(),
+            "complexity": self.index.statistics.complexity_parameters().as_dict(),
         }
+        if len(shard_stats) > 1:
+            stats["balance"] = balance_report(row["nodes"] for row in shard_stats)
         if self.is_live:
             stats["segments"] = self.segment_stats()
             if hasattr(self.index, "wal_stats"):
                 stats["wal"] = self.index.wal_stats()
+        else:
+            stats["packed_bytes_estimate"] = self._packed_bytes_estimate()
         return stats
+
+    def _packed_bytes_estimate(self) -> int:
+        generation = self.index.generation
+        if self._packed_bytes is None or self._packed_bytes[0] != generation:
+            from repro.index.packed import packed_index_bytes
+
+            shards = getattr(self.index, "shards", None)
+            indexes = [self.index] if shards is None else [s.index for s in shards]
+            self._packed_bytes = (
+                generation, sum(packed_index_bytes(index) for index in indexes)
+            )
+        return self._packed_bytes[1]
 
     def close(self) -> None:
         """Withdraw the result cache from the gauges and close a live index.

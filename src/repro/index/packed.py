@@ -290,8 +290,8 @@ def write_packed_segment(
 def packed_index_bytes(index) -> int:
     """Size in bytes of ``index`` if written as one packed v4 segment.
 
-    Used by the CLI stats commands to report the packed-vs-JSON size ratio
-    without touching the filesystem.
+    Used by ``FullTextEngine.stats()`` (``packed_bytes_estimate``) to report
+    the packed size without touching the filesystem.
     """
     lists = {pl.token: pl for pl in index.posting_lists()}
     docs = {node.node_id: node for node in index.collection}

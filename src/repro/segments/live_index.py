@@ -289,7 +289,7 @@ class LiveIndex:
     def posting_lists(self) -> Iterator:
         """The *physical* per-segment posting lists (tombstones included).
 
-        Used by size accounting (``shard-stats``, memory footprint) and the
+        Used by size accounting (``repro stats``, memory footprint) and the
         complexity parameters; logical reads go through cursors instead.
         """
         return self.snapshot().posting_lists()

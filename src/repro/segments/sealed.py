@@ -221,7 +221,7 @@ class SealedSegment:
         ]
 
     def describe(self, as_of: int | None = None) -> dict[str, int]:
-        """Size figures for ``repro segment-stats`` and the benchmarks."""
+        """Size figures for the ``"segments"`` rows of ``repro stats`` and the benchmarks."""
         return {
             "generation": self.generation,
             "docs": self.doc_count,

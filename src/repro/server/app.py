@@ -151,7 +151,6 @@ class QueryServer:
                 or sys.stderr
             )
             self._slowlog = SlowQueryLog(stream, self.config.slow_query_ms)
-        self._packed_bytes: int | None = None  # memoised /stats estimate
         self.port: int | None = None  # bound port, known after start()
         self._stop_requested: asyncio.Event | None = None
         self._shutdown_complete: asyncio.Event | None = None
@@ -585,7 +584,7 @@ class QueryServer:
         # structures with evaluation, so they must serialise behind it.
         loop = asyncio.get_running_loop()
         engine_stats = await loop.run_in_executor(
-            self._engine_pool, self._collect_engine_stats
+            self._engine_pool, self.engine.stats
         )
         latency = {
             path: recorder.snapshot() for path, recorder in self._latency.items()
@@ -616,30 +615,6 @@ class QueryServer:
             "gauges": instruments.gauge_snapshot(),
             "engine": engine_stats,
         }
-
-    def _collect_engine_stats(self) -> dict:
-        """The engine's own statistics (runs on the engine thread).
-
-        The packed-size estimate serialises every posting once, so it is
-        computed on the first ``/stats`` call and memoised; live indexes
-        skip it (their corpus changes under the estimate) and report
-        segment and WAL statistics instead.
-        """
-        engine = self.engine
-        stats = engine.stats()
-        if not engine.is_live:
-            if self._packed_bytes is None:
-                from repro.index.packed import packed_index_bytes
-
-                if hasattr(engine.index, "shards"):
-                    self._packed_bytes = sum(
-                        packed_index_bytes(shard.index)
-                        for shard in engine.index.shards
-                    )
-                else:
-                    self._packed_bytes = packed_index_bytes(engine.index)
-            stats["packed_bytes_estimate"] = self._packed_bytes
-        return stats
 
     # ------------------------------------------------------------ accounting
     def _enter(self) -> None:

@@ -12,7 +12,8 @@ Checks:
   (``asyncio.start_server``, ``mmap``) and a planner probe;
 * optionally, an index target: a saved collection file is loaded and
   validated, a live data directory is checked for a parseable manifest,
-  the segment files it references, and a readable WAL;
+  the segment files it references, and a readable WAL -- per ``shard-NN``
+  subdirectory when it holds a live cluster;
 * optionally, that a host/port can actually be bound.
 """
 
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 #: Minimum interpreter the package supports.
@@ -212,9 +213,20 @@ def run_doctor(
     if host is not None and port is not None:
         results.append(check_port(host, port))
     if index_path is not None:
+        from repro.cluster.live import shard_directories
+
         target = Path(index_path)
         if target.is_dir():
-            results.extend(check_live_dir(target))
+            # The opener's layout rule: shard-NN subdirectories make a live
+            # cluster, each checked as its own live index.
+            shards = shard_directories(target)
+            for shard in shards:
+                results.extend(
+                    replace(result, name=f"{shard.name}/{result.name}")
+                    for result in check_live_dir(shard)
+                )
+            if not shards:
+                results.extend(check_live_dir(target))
         elif target.exists():
             results.extend(check_index_file(target))
         else:

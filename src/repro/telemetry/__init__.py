@@ -20,7 +20,6 @@ The cross-cutting observability layer of the serving stack:
 from repro.telemetry.latency import (
     DEFAULT_WINDOW,
     LatencyRecorder,
-    format_latency_summary,
     percentile,
 )
 from repro.telemetry.registry import (
@@ -46,7 +45,6 @@ from repro.telemetry import instruments
 __all__ = [
     "DEFAULT_WINDOW",
     "LatencyRecorder",
-    "format_latency_summary",
     "percentile",
     "REGISTRY",
     "Counter",

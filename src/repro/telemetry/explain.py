@@ -6,8 +6,8 @@ that methodology into a runtime surface: after an instrumented execution,
 the executor harvests each cursor it opened (one cursor per query token is
 one operator leaf) and this module assembles the JSON payload that
 ``engine.search(..., explain=True)`` attaches to the result metadata, the
-HTTP API returns under ``"explain"``, and ``repro explain`` renders as a
-tree.
+HTTP API returns under ``"explain"``, and ``repro search --explain``
+renders as a tree.
 
 Contract (pinned by ``tests/telemetry/test_explain.py``): the sum of the
 per-operator counts equals the result's ``CursorStats`` delta exactly, and
@@ -240,7 +240,7 @@ def _render_topk(top_k: "dict | None") -> "list[str]":
 
 
 def render_explain(payload: dict) -> str:
-    """Render an explain payload as the tree ``repro explain`` prints."""
+    """Render an explain payload as the tree ``repro search --explain`` prints."""
     lines: list[str] = []
     if payload.get("operator") == "scatter":
         lines.append(f"EXPLAIN ANALYZE {payload['query']}")

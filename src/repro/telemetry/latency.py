@@ -1,17 +1,18 @@
 """Latency accounting shared by every serving surface.
 
-Percentile windows are telemetry, not an HTTP-server detail: the stdin
-REPL (``repro serve``), the HTTP service (``repro serve-http``) and the
-replay harness (``repro replay``) all report through the same arithmetic.
+Percentile windows are telemetry, not an HTTP-server detail: the HTTP
+service (``repro serve-http``), the ingest loop (``repro ingest
+--queries``) and the replay harness (``repro replay``) all report through
+the same arithmetic.
 
-Two conventions, inherited from the REPL and now binding for every user:
+Two conventions bind every user:
 
 * Percentiles come from a **bounded window** of the most recent requests
   (:data:`DEFAULT_WINDOW`), so a long-running server neither grows nor
   re-sorts an unbounded list; the mean and the count cover *every* request
   ever recorded.
-* :func:`percentile` is the nearest-rank variant the REPL has always
-  printed: ``sorted_values[min(len - 1, int(fraction * len))]`` -- no
+* :func:`percentile` is the nearest-rank variant:
+  ``sorted_values[min(len - 1, int(fraction * len))]`` -- no
   interpolation.  An **empty window yields ``None``** (and ``/stats``
   renders ``null``): before the first request there is no latency to
   report, and ``0.0`` read as "we answered in zero milliseconds".
@@ -92,12 +93,3 @@ class LatencyRecorder:
 
 def _fmt_ms(value: "float | None") -> str:
     return "n/a" if value is None else f"{value:.2f} ms"
-
-
-def format_latency_summary(snapshot: "dict[str, float | None]") -> str:
-    """Render a snapshot the way ``repro serve`` prints its summary line."""
-    return (
-        f"mean={_fmt_ms(snapshot['mean_ms'])} "
-        f"p50={_fmt_ms(snapshot['p50_ms'])} "
-        f"p95={_fmt_ms(snapshot['p95_ms'])}"
-    )

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.cli import build_argument_parser, main
@@ -78,32 +80,40 @@ def test_search_command_reports_errors_gracefully(index_file, capsys):
     assert "error:" in captured.err
 
 
-def test_explain_command(capsys):
-    code = main(["explain", "dist('task', 'completion', 5)"])
+def test_search_explain_prints_results_class_calculus_and_operator_tree(
+    index_file, capsys
+):
+    code = main(
+        ["search", str(index_file), "dist('task', 'completion', 5)", "--explain"]
+    )
     captured = capsys.readouterr().out
     assert code == 0
-    assert "PPRED" in captured
-    assert "ppred" in captured
+    assert "language class : PPRED" in captured
+    assert "engine         : ppred" in captured
     assert "hasToken" in captured
+    # Results first, then the classification lines, then the operator tree
+    # with one row per query token.
+    order = [
+        captured.index(". node "),
+        captured.index("language class"),
+        captured.index("calculus"),
+        captured.index("EXPLAIN ANALYZE"),
+        captured.index("token='task'"),
+    ]
+    assert order == sorted(order)
 
 
-def test_info_command(index_file, capsys):
-    code = main(["info", str(index_file)])
-    captured = capsys.readouterr().out
+def test_stats_command_prints_the_engine_payload(index_file, capsys):
+    code = main(["stats", str(index_file)])
+    stats = json.loads(capsys.readouterr().out)
     assert code == 0
-    assert "nodes" in captured
-    assert "cnodes" in captured
-    assert "COMP" in captured
-
-
-def test_index_stats_command_reports_columnar_footprint(index_file, capsys):
-    code = main(["index-stats", str(index_file)])
-    captured = capsys.readouterr().out
-    assert code == 0
-    assert "postings" in captured
-    assert "columnar memory footprint" in captured
-    assert "total_bytes" in captured
-    assert "bytes/position" in captured
+    assert stats["nodes"] == 3
+    assert stats["shards"] == 1
+    assert stats["live"] is False
+    assert stats["complexity"]["cnodes"] == 3
+    assert stats["memory"]["total_bytes"] > 0
+    assert stats["packed_bytes_estimate"] > 0
+    assert "balance" not in stats  # one shard has nothing to balance
 
 
 def test_search_command_fast_access_mode_matches_paper(index_file, capsys):
@@ -136,66 +146,30 @@ def test_search_command_sharded_matches_single(index_file, capsys):
     assert "scatter-gather over 3 shards" in sharded_out
 
 
-def test_shard_stats_command(index_file, capsys):
+def test_stats_command_sharded_reports_rows_and_balance(index_file, capsys):
     code = main(
-        ["shard-stats", str(index_file), "--shards", "2", "--partitioner", "round-robin"]
+        ["stats", str(index_file), "--shards", "2", "--partitioner", "round-robin"]
     )
-    captured = capsys.readouterr().out
+    stats = json.loads(capsys.readouterr().out)
     assert code == 0
-    assert "partitioner    : round-robin" in captured
-    assert "shards         : 2" in captured
-    assert "balance" in captured
+    assert stats["shards"] == 2
+    assert [row["nodes"] for row in stats["shard_stats"]] == [2, 1]
+    assert stats["balance"]["min"] == 1
+    assert stats["balance"]["max"] == 2
 
 
-def test_shard_stats_rejects_unknown_partitioner(index_file, capsys):
-    code = main(["shard-stats", str(index_file), "--partitioner", "bogus"])
+@pytest.mark.parametrize(
+    "operands",
+    [["stats", "{index}"], ["search", "{index}", "'usability'"], ["ingest", "-"]],
+)
+def test_unknown_partitioner_is_rejected_at_any_shard_count(
+    operands, index_file, capsys
+):
+    argv = [item.format(index=index_file) for item in operands]
+    code = main([*argv, "--partitioner", "bogus"])
     captured = capsys.readouterr()
     assert code == 1
-    assert "error:" in captured.err
-
-
-def test_serve_command_batch_session(index_file, capsys, monkeypatch):
-    import io
-
-    queries = "\n".join(
-        [
-            "'usability' AND 'software'",
-            "'usability' AND 'software'",  # repeat: served from the cache
-            "# a comment line",
-            "'unterminated",  # parse error must not kill the server
-            ":stats",
-            ":quit",
-        ]
-    )
-    monkeypatch.setattr("sys.stdin", io.StringIO(queries + "\n"))
-    code = main(["serve", str(index_file), "--shards", "2", "--top-k", "3"])
-    captured = capsys.readouterr().out
-    assert code == 0
-    assert "[cached" in captured
-    assert "error:" in captured
-    assert "served 2 queries over 2 shard(s)" in captured
-    assert "hit_rate=50.0%" in captured
-
-
-def test_serve_command_single_shard_still_caches(index_file, capsys, monkeypatch):
-    import io
-
-    monkeypatch.setattr("sys.stdin", io.StringIO("'usability'\n'usability'\n"))
-    code = main(["serve", str(index_file), "--scoring", "none"])
-    captured = capsys.readouterr().out
-    assert code == 0
-    assert "served 2 queries over 1 shard(s)" in captured
-    assert "[cached" in captured  # the default cache works without sharding
-
-
-def test_serve_command_cache_disabled(index_file, capsys, monkeypatch):
-    import io
-
-    monkeypatch.setattr("sys.stdin", io.StringIO("'usability'\n"))
-    code = main(["serve", str(index_file), "--cache-size", "0"])
-    captured = capsys.readouterr().out
-    assert code == 0
-    assert "size=0/0" in captured
+    assert "unknown partitioner 'bogus'" in captured.err
 
 
 def test_experiment_command_single_figure_smoke(capsys):
@@ -275,6 +249,39 @@ def test_the_retired_observatory_subcommand_is_rejected(capsys):
     assert "invalid choice: 'bench'" in capsys.readouterr().err
 
 
+def test_the_cli_has_one_command_per_job():
+    assert list(_subcommands(build_argument_parser())) == [
+        "index", "search", "serve-http", "ingest", "stats",
+        "doctor", "metrics", "replay", "experiment",
+    ]
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["serve", "explain", "info", "index-stats", "shard-stats", "segment-stats"],
+)
+def test_the_retired_subcommands_are_rejected(command, index_file, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, str(index_file)])
+    assert excinfo.value.code == 2
+    assert f"invalid choice: '{command}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("shards", ["0", "-2"])
+@pytest.mark.parametrize("command", ["search", "serve-http", "ingest", "stats"])
+def test_shards_must_be_at_least_one(command, shards, index_file, capsys):
+    operands = {
+        "search": [str(index_file), "'usability'"],
+        "serve-http": [str(index_file)],
+        "ingest": ["-"],
+        "stats": [str(index_file)],
+    }[command]
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, *operands, "--shards", shards])
+    assert excinfo.value.code == 2
+    assert f"must be >= 1, got {shards}" in capsys.readouterr().err
+
+
 def _loaded_by_cli_import(modules: tuple) -> str:
     """Which of ``modules`` a fresh interpreter holds after ``import repro.cli``."""
     import os
@@ -325,78 +332,6 @@ def test_parser_requires_a_command():
 
 
 # ---------------------------------------------------------------- live index
-def test_serve_live_session_mutates_while_serving(index_file, capsys, monkeypatch):
-    import io
-
-    session = "\n".join(
-        [
-            "'usability'",
-            ":add a brand new usability document",
-            "'usability'",
-            ":update 0 nothing relevant anymore",
-            ":delete 1",
-            "'usability'",
-            ":segments",
-            ":flush",
-            ":compact",
-            ":quit",
-        ]
-    )
-    monkeypatch.setattr("sys.stdin", io.StringIO(session + "\n"))
-    code = main(["serve", str(index_file), "--live", "--scoring", "none"])
-    captured = capsys.readouterr().out
-    assert code == 0
-    assert "added node 3" in captured
-    assert "updated node 0" in captured
-    assert "deleted node 1" in captured
-    assert "flushed;" in captured
-    assert "compacted" in captured
-    assert "memtable" in captured or "segment" in captured
-    assert "served 3 queries" in captured
-
-
-def test_serve_without_live_rejects_mutation_commands(index_file, capsys, monkeypatch):
-    import io
-
-    monkeypatch.setattr("sys.stdin", io.StringIO(":add some text\n:quit\n"))
-    code = main(["serve", str(index_file), "--scoring", "none"])
-    captured = capsys.readouterr().out
-    assert code == 0
-    # Without --live the line is treated as a (failing) query, not a command.
-    assert "added node" not in captured
-    assert "error:" in captured
-
-
-def test_serve_prints_final_summary_exactly_once_on_eof(index_file, capsys, monkeypatch):
-    import io
-
-    # Stream ends without ':quit' -- the EOF path must still summarise once.
-    monkeypatch.setattr("sys.stdin", io.StringIO("'usability'\n"))
-    code = main(["serve", str(index_file), "--scoring", "none"])
-    captured = capsys.readouterr().out
-    assert code == 0
-    assert captured.count("served 1 queries over") == 1
-    assert captured.count("cache: size=") == 1
-
-
-def test_serve_prints_final_summary_exactly_once_on_interrupt(
-    index_file, capsys, monkeypatch
-):
-    class InterruptingStream:
-        def __iter__(self):
-            yield "'usability'\n"
-            raise KeyboardInterrupt
-
-        def isatty(self):
-            return False
-
-    monkeypatch.setattr("sys.stdin", InterruptingStream())
-    code = main(["serve", str(index_file), "--scoring", "none"])
-    captured = capsys.readouterr().out
-    assert code == 0
-    assert captured.count("served 1 queries over") == 1
-
-
 def test_ingest_command_streams_documents(index_file, tmp_path, capsys):
     docs = tmp_path / "stream.txt"
     docs.write_text(
@@ -443,16 +378,57 @@ def test_ingest_persists_into_data_dir(index_file, tmp_path, capsys):
     assert code == 0
     assert (data_dir / "MANIFEST.json").exists()
     capsys.readouterr()
-    code = main(["segment-stats", str(data_dir)])
-    captured = capsys.readouterr().out
+    code = main(["stats", str(data_dir)])
+    stats = json.loads(capsys.readouterr().out)
     assert code == 0
-    assert "live documents : 5" in captured
+    assert stats["nodes"] == 5
+    assert stats["live"] is True
+    assert sum(row["live_docs"] for row in stats["segments"]) == 5
+    assert stats["wal"]["appended"] == 0  # reopened: nothing written since
+    assert "packed_bytes_estimate" not in stats
 
 
-def test_segment_stats_on_collection_file(index_file, capsys):
-    code = main(["segment-stats", str(index_file), "--flush-threshold", "2"])
+def test_search_reads_a_live_data_directory(tmp_path, capsys):
+    docs = tmp_path / "stream.txt"
+    docs.write_text(
+        "usability of efficient software\ndatabases index tokens for retrieval\n",
+        encoding="utf-8",
+    )
+    data_dir = tmp_path / "live"
+    assert main(["ingest", str(docs), "--data-dir", str(data_dir)]) == 0
+    capsys.readouterr()
+    assert main(["search", str(data_dir), "'retrieval'"]) == 0
     captured = capsys.readouterr().out
-    assert code == 0
-    assert "live documents : 3" in captured
-    assert "segment" in captured
-    assert "memory" in captured
+    assert "1 match(es)" in captured
+    assert "node 1" in captured
+    assert main(["search", str(data_dir), "'retrieval'", "--shards", "2"]) == 1
+    assert "1-shard live index; --shards 2 disagrees" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("operands", [["search", "'usability'"], ["stats"]])
+def test_a_plain_directory_is_not_opened_as_a_live_index(
+    operands, corpus_dir, capsys
+):
+    before = sorted(path.name for path in corpus_dir.iterdir())
+    command, *rest = operands
+    assert main([command, str(corpus_dir), *rest]) == 1
+    assert "is not a live data directory" in capsys.readouterr().err
+    assert sorted(path.name for path in corpus_dir.iterdir()) == before
+
+
+def test_ingest_appends_to_a_sharded_directory_at_its_shard_count(tmp_path, capsys):
+    first = tmp_path / "first.txt"
+    first.write_text("usability of software\nsoftware measures\n", encoding="utf-8")
+    second = tmp_path / "second.txt"
+    second.write_text("software databases\nretrieval software\n", encoding="utf-8")
+    data_dir = tmp_path / "cluster"
+    assert main(["ingest", str(first), "--shards", "2", "--data-dir", str(data_dir)]) == 0
+    assert main(["ingest", str(second), "--data-dir", str(data_dir)]) == 0
+    assert sorted(path.name for path in data_dir.iterdir()) == ["shard-00", "shard-01"]
+    capsys.readouterr()
+    assert main(["stats", str(data_dir)]) == 0
+    stats = json.loads(capsys.readouterr().out)
+    assert stats["shards"] == 2
+    assert stats["nodes"] == 4
+    assert main(["ingest", str(second), "--shards", "3", "--data-dir", str(data_dir)]) == 1
+    assert "2-shard live index; --shards 3 disagrees" in capsys.readouterr().err

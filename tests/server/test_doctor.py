@@ -93,6 +93,21 @@ def test_non_live_directory_fails_manifest_check(tmp_path):
     )
 
 
+def test_sharded_live_dir_is_checked_per_shard(tmp_path, capsys):
+    docs = tmp_path / "docs.txt"
+    docs.write_text("usability testing\nsoftware task\ndatabases index\n")
+    data = tmp_path / "cluster"
+    assert main(["ingest", str(docs), "--shards", "2", "--data-dir", str(data)]) == 0
+    capsys.readouterr()
+    by_name = statuses(run_doctor(index_path=data))
+    assert by_name["shard-00/manifest"] == "ok"
+    assert by_name["shard-01/manifest"] == "ok"
+    assert by_name["shard-01/wal"] == "ok"
+    assert "manifest" not in by_name  # the top level is not a live index
+    assert main(["doctor", str(data)]) == 0
+    assert "ready to serve" in capsys.readouterr().out
+
+
 def test_render_report_verdict():
     passing = run_doctor()
     report = render_report(passing)

@@ -4,11 +4,7 @@ from __future__ import annotations
 
 import threading
 
-from repro.telemetry.latency import (
-    LatencyRecorder,
-    format_latency_summary,
-    percentile,
-)
+from repro.telemetry.latency import LatencyRecorder, percentile
 
 
 def test_percentile_is_nearest_rank():
@@ -72,15 +68,3 @@ def test_recorder_is_thread_safe():
         thread.join()
     assert recorder.count == 4000
     assert recorder.mean_ms() == 1.0
-
-
-def test_format_latency_summary_matches_repl_style():
-    recorder = LatencyRecorder()
-    recorder.record(2.0)
-    line = format_latency_summary(recorder.snapshot())
-    assert line == "mean=2.00 ms p50=2.00 ms p95=2.00 ms"
-
-
-def test_format_latency_summary_renders_na_before_first_request():
-    line = format_latency_summary(LatencyRecorder().snapshot())
-    assert line == "mean=0.00 ms p50=n/a p95=n/a"

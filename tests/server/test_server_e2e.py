@@ -2,8 +2,8 @@
 
 These pin the satellite guarantees: concurrent batched answers bit-identical
 to direct ``engine.search``, deadline errors that leave the connection loop
-alive, admission control under overload, ``/stats`` agreeing with the
-``shard-stats``/``index-stats`` CLI, and graceful drain of in-flight work.
+alive, admission control under overload, ``/stats`` serving exactly what
+``repro stats`` prints, and graceful drain of in-flight work.
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ import pytest
 
 import repro
 from repro.cli import main
-from repro.index.storage import save_collection
+from repro.core.engine import FullTextEngine
+from repro.index.storage import load_collection, save_collection
 from repro.server import ServerConfig
 
 from harness import RunningServer, make_engine
@@ -268,55 +269,24 @@ def test_stats_latency_and_access_log(server_collection):
         engine.close()
 
 
-def test_stats_matches_shard_stats_cli(server_collection, tmp_path, capsys):
-    """/stats must agree with what the shard-stats CLI prints."""
-    saved = tmp_path / "collection.json"
-    save_collection(server_collection, saved)
-    engine = make_engine(server_collection, shards=2)
-    try:
-        with RunningServer(engine, ServerConfig()) as server:
-            _, stats = server.request("GET", "/stats")
-    finally:
-        engine.close()
-    served_rows = stats["engine"]["shard_stats"]
-    assert stats["engine"]["shards"] == 2
-
-    assert main(["shard-stats", str(saved), "--shards", "2"]) == 0
-    out = capsys.readouterr().out
-    cli_rows = [
-        [int(cell) for cell in re.findall(r"[\d,]+", line)[:5]]
-        for line in out.splitlines()
-        if re.match(r"\s+\d+\s+\d+", line)
-    ]
-    assert len(cli_rows) == len(served_rows) == 2
-    for cli_row, served in zip(cli_rows, served_rows):
-        assert cli_row[0] == served["shard"]
-        assert cli_row[1] == served["nodes"]
-        assert cli_row[2] == served["tokens"]
-        assert cli_row[3] == served["postings"]
-        assert cli_row[4] == served["positions"]
-
-
-def test_stats_packed_estimate_matches_index_stats_cli(
+def test_stats_cli_prints_the_served_engine_payload(
     server_collection, tmp_path, capsys
 ):
+    """``repro stats FILE`` and ``/stats["engine"]`` are one payload."""
     saved = tmp_path / "collection.json"
     save_collection(server_collection, saved)
-    engine = make_engine(server_collection)
+    engine = FullTextEngine.from_collection(load_collection(saved), shards=2)
     try:
         with RunningServer(engine, ServerConfig()) as server:
             _, stats = server.request("GET", "/stats")
     finally:
         engine.close()
 
-    assert main(["index-stats", str(saved)]) == 0
-    out = capsys.readouterr().out
-    nodes = int(re.search(r"nodes\s+:\s+(\d+)", out).group(1))
-    packed = int(
-        re.search(r"packed v4\s+:\s+([\d,]+) bytes", out).group(1).replace(",", "")
-    )
-    assert stats["engine"]["nodes"] == nodes
-    assert stats["engine"]["packed_bytes_estimate"] == packed
+    assert main(["stats", str(saved), "--shards", "2"]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    assert printed == stats["engine"]
+    assert printed["shards"] == 2
+    assert printed["packed_bytes_estimate"] > 0
 
 
 # -------------------------------------------------------------- graceful drain
@@ -425,3 +395,50 @@ def test_serve_http_live_directory_honours_cache_size(tmp_path, monkeypatch):
     cache = seen["stats"]["engine"]["cache"]
     assert cache["capacity"] == 7
     assert cache["hits"] >= 1
+
+
+def test_sharded_live_directory_opens_as_a_cluster(tmp_path, capsys, monkeypatch):
+    """``search``, ``stats`` and ``serve-http`` reopen a 2-shard directory
+    written by ``ingest --shards 2`` with every document, in place."""
+    docs = tmp_path / "docs.txt"
+    docs.write_text(
+        "usability testing of efficient software\n"
+        "software measures task completion\n"
+        "software databases index tokens\n"
+        "retrieval software for documents\n",
+        encoding="utf-8",
+    )
+    data_dir = tmp_path / "cluster"
+    assert main(["ingest", str(docs), "--shards", "2", "--data-dir", str(data_dir)]) == 0
+    capsys.readouterr()
+
+    assert main(["search", str(data_dir), "'software'"]) == 0
+    out = capsys.readouterr().out
+    assert "4 match(es)" in out
+    assert "scatter-gather over 2 shards" in out
+
+    assert main(["stats", str(data_dir)]) == 0
+    stats = json.loads(capsys.readouterr().out)
+    assert stats["nodes"] == 4
+    assert stats["shards"] == 2
+    assert sum(row["nodes"] for row in stats["shard_stats"]) == 4
+
+    seen = {}
+
+    def serve_in_test(engine, config):
+        with RunningServer(engine, config) as server:
+            seen["search"] = server.request("GET", "/search?q=%27software%27")[1]
+        return 0
+
+    monkeypatch.setattr("repro.server.serve", serve_in_test)
+    assert main(["serve-http", str(data_dir)]) == 0
+    assert seen["search"]["total_matches"] == 4
+
+    # Reopening wrote nothing beside the shards.
+    assert not (data_dir / "MANIFEST.json").exists()
+    assert not (data_dir / "wal.jsonl").exists()
+    assert sorted(path.name for path in data_dir.iterdir()) == ["shard-00", "shard-01"]
+
+    assert main(["stats", str(data_dir), "--shards", "3"]) == 1
+    err = capsys.readouterr().err
+    assert "2-shard" in err and "--shards 3" in err

@@ -113,6 +113,9 @@ class NPredBlockOperator(ops.PlanOperator):
         self._inputs: list[ops.PlanOperator] = self.scans + self.extra_inputs
         #: Scan index -> its slot in the thread's ordering.
         self._rank = {attr: slot for slot, attr in enumerate(self.ordering)}
+        #: Consecutive ``(earlier, later)`` scans under the ordering.
+        ordered = [self.scans[attr] for attr in self.ordering]
+        self._ordered_pairs = list(zip(ordered, ordered[1:]))
         self._node: int | None = None
 
     # ------------------------------------------------------------------ API
@@ -140,12 +143,13 @@ class NPredBlockOperator(ops.PlanOperator):
 
     # ------------------------------------------------------------- internals
     def _advance_all_inputs(self) -> int | None:
-        highest: int | None = None
+        highest = -1  # node ids are non-negative
         for operator in self._inputs:
             node = operator.advance_node()
             if node is None:
                 return None
-            highest = node if highest is None else max(highest, node)
+            if node > highest:
+                highest = node
         return highest
 
     def _align_inputs(self, target: int) -> int | None:
@@ -154,46 +158,46 @@ class NPredBlockOperator(ops.PlanOperator):
         Skipping goes through the shared
         :meth:`~repro.engine.operators.PlanOperator.advance_node_to`
         primitive: sequential stepping (the paper's per-entry charge) for
-        paper-mode cursors, one galloping seek for fast-mode cursors.
+        paper-mode cursors, one seek for fast-mode cursors.  A pass that
+        ends with the target unchanged has left every input on it; only a
+        raised target sends the merge round again.
         """
+        inputs = self._inputs
         while True:
-            changed = False
-            for operator in self._inputs:
+            raised = False
+            for operator in inputs:
                 node = operator.current_node()
                 if node is not None and node < target:
                     node = operator.advance_node_to(target)
-                    changed = True
                 if node is None:
                     return None
                 if node > target:
                     target = node
-                    changed = True
-            if not changed:
+                    raised = True
+            if not raised:
                 return target
 
     def _enforce_order(self) -> bool:
         """Restore the ordering invariant ``p_{i1} <= ... <= p_{ik}``."""
-        for slot in range(1, len(self.ordering)):
-            previous = self.scans[self.ordering[slot - 1]].position(0)
-            scan = self.scans[self.ordering[slot]]
-            if scan.position(0).offset < previous.offset:
-                if not scan.advance_position(0, previous.offset):
+        for earlier, later in self._ordered_pairs:
+            previous = earlier.position(0).offset
+            if later.position(0).offset < previous:
+                if not later.advance_position(0, previous):
                     return False
         return True
 
     def _satisfy_predicates(self) -> bool:
         """Advance cursors until every predicate holds (Algorithm 7 loop)."""
+        scans = self.scans
+        predicates = self.predicates
         while True:
-            positions = [scan.position(0) for scan in self.scans]
-            failing = next(
-                (bound for bound in self.predicates if not bound.holds(positions)),
-                None,
-            )
-            if failing is None:
+            positions = [scan.position(0) for scan in scans]
+            for bound in predicates:
+                if not bound.holds(positions):
+                    break
+            else:
                 return True
-            if not self._advance_for(failing, positions):
-                return False
-            if not self._enforce_order():
+            if not self._advance_for(bound, positions) or not self._enforce_order():
                 return False
 
     def _advance_for(

@@ -25,6 +25,14 @@ it replaces.  How a seek is *charged* is governed by the cursor's access mode:
 * ``"fast"`` -- the production path: a seek is charged as one ``seek`` plus
   its O(log n) search probes, and nothing is added to the sequential
   counters.
+
+Both charges are computed in one place, :meth:`InvertedListCursor.seek`,
+which also finds the landing with one C-level bisection over the cursor's
+snapshot of the node-id column (a packed list narrows it with its skip
+table first).  The probe charge is that of an adaptive search -- linear
+probes across the first :data:`SEEK_LINEAR_LIMIT` entries, then a binary
+search over the rest -- so the landing stays a single C call rather than a
+Python galloping loop while the counters still model the adaptive search.
 """
 
 from __future__ import annotations
@@ -41,6 +49,11 @@ PAPER_MODE = "paper"
 FAST_MODE = "fast"
 #: The valid access modes, in documentation order.
 ACCESS_MODES = (PAPER_MODE, FAST_MODE)
+
+#: A fast-mode seek is charged one probe per entry for gaps up to this many
+#: entries before the charge switches to a binary search's -- dense merges
+#: (tiny skips) stay as cheap as sequential stepping.
+SEEK_LINEAR_LIMIT = 4
 
 
 def check_access_mode(mode: str) -> str:
@@ -125,6 +138,7 @@ class InvertedListCursor:
         "_list",
         "_node_ids",
         "_decoded",
+        "_bisect",
         "_length",
         "_index",
         "stats",
@@ -145,6 +159,7 @@ class InvertedListCursor:
         # later appends/widenings of the list never affect this cursor).
         self._node_ids = posting_list.node_id_column()
         self._decoded = posting_list.decoded_cache()
+        self._bisect = posting_list._bisect
         self._length = len(posting_list)
         self._index = -1
         self.stats = CursorStats()
@@ -196,10 +211,10 @@ class InvertedListCursor:
         or ``(None, ())`` -- uncharged when the cursor is already exhausted."""
         if self._index >= self._length:
             return None, ()
-        index = self._seek_to(node_id)
-        if index >= self._length:
+        node = self.seek(node_id)
+        if node is None:
             return None, ()
-        return self._node_ids[index], self._take_positions(index)
+        return node, self._take_positions(self._index)
 
     def _take_positions(self, index: int) -> tuple[Position, ...]:
         """Entry ``index``'s decoded positions, charged as one ``get_positions``."""
@@ -229,39 +244,36 @@ class InvertedListCursor:
     def seek(self, node_id: int) -> int | None:
         """Move forward to the first entry with node id ``>= node_id``.
 
-        Returns the landing node id, or ``None`` when the list is exhausted.
-        The physical movement is a binary search over the node-id column in
-        both modes; only the *charging* differs (see the module docstring).
+        Returns the landing node id, or ``None`` when the list is exhausted;
+        uncharged when the cursor already sits on such an entry.  The
+        physical movement is one bisection in both modes; only the
+        *charging* differs (see the module docstring).
         """
-        index = self._seek_to(node_id)
-        return self._node_ids[index] if index < self._length else None
-
-    def _seek_to(self, node_id: int) -> int:
-        """Move as :meth:`seek` does, charging by mode; return the new index."""
         index = self._index
-        if 0 <= index < self._length and self._node_ids[index] >= node_id:
-            return index
-        landing, probes = self._list.seek_index(max(index, 0), node_id, self._length)
+        length = self._length
+        node_ids = self._node_ids
+        if 0 <= index < length and node_ids[index] >= node_id:
+            return node_ids[index]
+        start = index if index > 0 else 0
+        landing = self._bisect(node_id, start, length)
+        stats = self.stats
         if self.mode == FAST_MODE:
-            self.stats.seek_calls += 1
-            self.stats.seek_probes += probes
+            stats.seek_calls += 1
+            if landing - start < SEEK_LINEAR_LIMIT and landing < length:
+                stats.seek_probes += landing - start + 1
+            elif length - start <= SEEK_LINEAR_LIMIT:
+                stats.seek_probes += length - start
+            else:
+                stats.seek_probes += SEEK_LINEAR_LIMIT + (
+                    length - start - SEEK_LINEAR_LIMIT
+                ).bit_length()
         else:
             # Sequential charging: one next_entry per entry moved over, with
             # a minimum of one call (an exhausted cursor still pays for the
             # call that discovers there is nothing left).
-            self.stats.next_entry_calls += max(landing - index, 1)
+            stats.next_entry_calls += landing - index if landing > index else 1
         self._index = landing
-        return landing
-
-    def advance_to(self, node_id: int) -> int | None:
-        """Advance until the current node id is ``>= node_id``; return it, or
-        ``None`` if the list is exhausted.
-
-        This is the merge-style skip primitive.  In paper mode it is charged
-        per entry skipped (identical to repeated ``next_entry`` calls); in
-        fast mode it delegates to the O(log n) :meth:`seek` charge.
-        """
-        return self.seek(node_id)
+        return node_ids[landing] if landing < length else None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (
@@ -452,10 +464,6 @@ class MultiSegmentCursor:
             else:
                 self.stats.next_entry_calls += 1
         return self._settle()
-
-    def advance_to(self, node_id: int) -> int | None:
-        """Merge-style skip primitive (alias of :meth:`seek`)."""
-        return self.seek(node_id)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (

@@ -7,7 +7,7 @@ writes the *columnar* posting arrays of :class:`~repro.index.postings.PostingLis
 (node ids, entry bounds, delta-encoded position offsets, sentence and
 paragraph ordinals) verbatim as packed little-endian blocks, plus a small
 per-list skip table (the first node id of every :data:`SKIP_BLOCK`-entry
-block) that narrows the binary-search range of ``seek_index``.
+block) that narrows the binary-search range of a cursor's seek.
 
 A v4 file is::
 
@@ -108,10 +108,11 @@ class PackedPostingList(PostingList):
     buffer is an immutable segment payload shared across cursors and worker
     processes, so a single append would corrupt every reader at once.
 
-    ``seek_index`` additionally consults the per-list skip table to narrow
-    the binary-search window, but charges exactly the probe count of the
-    in-memory implementation so fast-mode cursor statistics stay
-    byte-identical between the packed and in-memory paths.
+    Its ``_bisect`` additionally consults the per-list skip table to narrow
+    the binary-search window; cursors compute the seek charge themselves
+    (:meth:`~repro.index.cursor.InvertedListCursor.seek`), so fast-mode
+    cursor statistics stay byte-identical between the packed and in-memory
+    paths.
     """
 
     __slots__ = ("_skips",)
@@ -152,10 +153,10 @@ class PackedPostingList(PostingList):
     def _bisect(self, node_id: int, lo: int, hi: int) -> int:
         """As :meth:`PostingList._bisect`, with skip-table narrowing.
 
-        ``seek_index`` (and with it the probe charge) is inherited; the skip
-        table only reduces the *physical* range the bisection touches (fewer
-        pages faulted in on cold segments).  ``skips[b]`` is the node id of
-        entry ``b * SKIP_BLOCK``, so the landing lies in
+        The probe charge is the cursor's and ignores this narrowing; the
+        skip table only reduces the *physical* range the bisection touches
+        (fewer pages faulted in on cold segments).  ``skips[b]`` is the node
+        id of entry ``b * SKIP_BLOCK``, so the landing lies in
         ``[(block - 1) * SKIP_BLOCK, block * SKIP_BLOCK]``.
         """
         skips = self._skips

@@ -266,45 +266,12 @@ class PostingList:
             return self.entry(idx)
         return None
 
-    #: Gaps up to this many entries are crossed by linear probing before the
-    #: seek falls back to binary search -- dense merges (tiny skips) stay as
-    #: cheap as sequential stepping.
-    SEEK_LINEAR_LIMIT = 4
-
-    def seek_index(
-        self, start: int, node_id: int, stop: int | None = None
-    ) -> tuple[int, int]:
-        """Index of the first entry at or after ``start`` with id >= ``node_id``.
-
-        Returns ``(index, probes)`` where ``index`` may be the end of the
-        searched range when no such entry exists and ``probes`` is the number
-        of node-id comparisons charged: one per linear probe plus the O(log n)
-        bound of the binary search (the cursor's seek charge in fast access
-        mode).  ``stop`` bounds the search to the first ``stop`` entries --
-        cursors pass their snapshot length so entries appended after the
-        cursor opened stay invisible to it.
-
-        The landing is found by one C-level bisection; the charge is the one
-        an adaptive search would pay -- linear probes across the first
-        ``SEEK_LINEAR_LIMIT`` entries, then a binary search over the rest.
-        """
-        length = len(self._node_ids)
-        if stop is not None and stop < length:
-            length = stop
-        if start >= length:
-            return length, 0
-        if start < 0:
-            start = 0
-        landing = self._bisect(node_id, start, length)
-        limit = self.SEEK_LINEAR_LIMIT
-        if landing - start < limit and landing < length:
-            return landing, landing - start + 1
-        if length - start <= limit:
-            return length, length - start
-        return landing, limit + (length - start - limit).bit_length()
-
     def _bisect(self, node_id: int, lo: int, hi: int) -> int:
-        """First index in ``[lo, hi)`` whose node id is ``>= node_id``."""
+        """First index in ``[lo, hi)`` whose node id is ``>= node_id``.
+
+        Cursors bind this at open and land every seek with it (see
+        :meth:`~repro.index.cursor.InvertedListCursor.seek`).
+        """
         return bisect.bisect_left(self._node_ids, node_id, lo, hi)
 
     def document_frequency(self) -> int:

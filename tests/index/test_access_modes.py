@@ -15,6 +15,7 @@ from repro.index import InvertedIndex
 from repro.index.cursor import (
     FAST_MODE,
     PAPER_MODE,
+    SEEK_LINEAR_LIMIT,
     CursorFactory,
     CursorStats,
     InvertedListCursor,
@@ -116,7 +117,7 @@ def test_fast_mode_seek_charges_log_not_linear():
     assert cursor.stats.next_entry_calls == 0
     assert cursor.stats.seek_calls == 1
     # Galloping + binary search: far fewer probes than the 2000 entries skipped.
-    assert 0 < cursor.stats.seek_probes <= 2 * 12 + PostingList.SEEK_LINEAR_LIMIT
+    assert 0 < cursor.stats.seek_probes <= 2 * 12 + SEEK_LINEAR_LIMIT
 
 
 def test_fast_mode_seek_on_current_entry_is_uncharged(gappy):
@@ -128,10 +129,10 @@ def test_fast_mode_seek_on_current_entry_is_uncharged(gappy):
     assert cursor.stats.seek_calls == charged
 
 
-def test_advance_to_is_seek(gappy):
+def test_paper_mode_seek_into_a_gap_then_past_the_end(gappy):
     cursor = InvertedListCursor(gappy, mode=PAPER_MODE)
-    assert cursor.advance_to(6) == 9
-    assert cursor.advance_to(100) is None
+    assert cursor.seek(6) == 9
+    assert cursor.seek(100) is None
 
 
 def test_cursor_stats_extended_dict_and_delta():
@@ -246,12 +247,17 @@ def test_memory_breakdown_counts_payload_bytes():
     assert posting_list.memory_bytes() == sum(breakdown.values())
 
 
-def test_seek_index_linear_and_binary_paths(gappy):
-    assert gappy.seek_index(0, 1) == (0, 1)
-    index, probes = gappy.seek_index(0, 30)
-    assert index == 4 and probes >= 1
-    assert gappy.seek_index(0, 31)[0] == 5
-    assert gappy.seek_index(5, 1) == (5, 0)
+def test_fast_seek_linear_and_binary_charges(gappy):
+    cursor = InvertedListCursor(gappy, mode=FAST_MODE)
+    assert cursor.seek(1) == 2
+    assert cursor.stats.seek_probes == 1  # inside the linear window
+    cursor = InvertedListCursor(gappy, mode=FAST_MODE)
+    assert cursor.seek(30) == 30
+    assert cursor.stats.seek_probes == SEEK_LINEAR_LIMIT + 1  # then binary
+    assert cursor.seek(31) is None
+    probes = cursor.stats.seek_probes
+    assert cursor.seek(1) is None  # exhausted: charged a call, no probes
+    assert cursor.stats.seek_probes == probes
 
 
 # ------------------------------------------------------- empty-list singleton

@@ -55,12 +55,12 @@ def test_current_node_tracks_cursor(posting_list):
     assert cursor.current_node() == 1
 
 
-def test_advance_to_skips_sequentially(posting_list):
+def test_seek_skips_sequentially(posting_list):
     cursor = InvertedListCursor(posting_list)
-    assert cursor.advance_to(5) == 5
-    assert cursor.advance_to(5) == 5  # already there, no movement
-    assert cursor.advance_to(7) == 9
-    assert cursor.advance_to(100) is None
+    assert cursor.seek(5) == 5
+    assert cursor.seek(5) == 5  # already there, no movement
+    assert cursor.seek(7) == 9
+    assert cursor.seek(100) is None
 
 
 def test_statistics_count_operations(posting_list):

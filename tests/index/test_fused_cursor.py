@@ -9,7 +9,7 @@ and a twin through the paper API with the same random operation stream, on
 in-memory, packed (mmap) and multi-segment (tombstoned) lists in both access
 modes, and compare ids, positions and all five counters after every step.
 
-``PostingList.seek_index`` finds its landing with one bisection and derives
+``InvertedListCursor.seek`` finds its landing with one bisection and derives
 the probe charge of the adaptive linear-then-binary search it replaced; the
 old search is kept here as the reference.
 """
@@ -24,7 +24,13 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.index.cursor import ACCESS_MODES, InvertedListCursor, MultiSegmentCursor
+from repro.index.cursor import (
+    ACCESS_MODES,
+    FAST_MODE,
+    CursorStats,
+    InvertedListCursor,
+    MultiSegmentCursor,
+)
 from repro.index.packed import (
     SKIP_BLOCK,
     PackedPostingList,
@@ -165,9 +171,9 @@ def test_drain_charges_one_call_per_entry_plus_the_end():
     assert cursor.stats.next_entry_calls == 1 + 3 + 1
 
 
-# ---------------------------------------- seek_index == linear-then-binary
+# ------------------------------------------- seek == linear-then-binary
 def reference_seek_index(node_ids, start, node_id, stop=None, linear_limit=4):
-    """The adaptive search ``seek_index`` used before the single bisection."""
+    """The adaptive search seeks were charged for before the single bisection."""
     length = len(node_ids)
     if stop is not None and stop < length:
         length = stop
@@ -185,6 +191,33 @@ def reference_seek_index(node_ids, start, node_id, stop=None, linear_limit=4):
         return length, index - start
     landing = bisect.bisect_left(node_ids, node_id, index, length)
     return landing, (index - start) + (length - index).bit_length()
+
+
+def fast_cursor_at(posting_list, start: int) -> InvertedListCursor:
+    """A fast-mode cursor on entry ``start`` (fresh when ``start < 0``,
+    exhausted at its end) with zeroed counters."""
+    cursor = InvertedListCursor(posting_list, mode=FAST_MODE)
+    for _ in range(start + 1):
+        cursor.next_entry()
+    cursor.stats = CursorStats()
+    return cursor
+
+
+def assert_seek_matches_reference(cursor, node_ids, start, target, stop=None):
+    """``cursor`` (placed by :func:`fast_cursor_at`) lands where the
+    reference search lands and is charged its probes -- or, already on an
+    entry ``>= target``, stays put uncharged."""
+    length = len(node_ids) if stop is None else min(stop, len(node_ids))
+    node = cursor.seek(target)
+    if 0 <= start < length and node_ids[start] >= target:
+        assert node == node_ids[start]
+        assert cursor.stats.as_extended_dict() == CursorStats().as_extended_dict()
+        return
+    landing, probes = reference_seek_index(node_ids, start, target, stop)
+    assert node == (node_ids[landing] if landing < length else None)
+    assert cursor.stats.seek_calls == 1
+    assert cursor.stats.seek_probes == probes
+    assert cursor.stats.as_dict() == CursorStats().as_dict()
 
 
 @st.composite
@@ -223,24 +256,41 @@ def as_lists(node_ids) -> list[PostingList]:
     return [in_memory, packed]
 
 
+def snapshot_cursor_at(node_ids, stop: int, start: int) -> InvertedListCursor:
+    """:func:`fast_cursor_at` on an in-memory list of the first ``stop``
+    ids, opened before the rest were appended."""
+    posting_list = as_lists(node_ids[:stop])[0]
+    cursor = fast_cursor_at(posting_list, start)
+    for node_id in node_ids[stop:]:
+        posting_list.add_occurrences(node_id, [Position(0)])
+    return cursor
+
+
 @settings(max_examples=400, deadline=None)
 @given(seek_cases())
-def test_seek_index_equals_the_linear_then_binary_search(case):
+def test_cursor_seek_equals_the_linear_then_binary_search(case):
     node_ids, start, stop, target = case
-    expected = reference_seek_index(node_ids, start, target, stop)
+    start = min(max(start, -1), len(node_ids))
     for posting_list in as_lists(node_ids):
-        assert posting_list.seek_index(start, target, stop) == expected
-        assert posting_list.seek_index(start, target) == reference_seek_index(
-            node_ids, start, target
-        )
+        cursor = fast_cursor_at(posting_list, start)
+        assert_seek_matches_reference(cursor, node_ids, start, target)
+    # A cursor opened before an append sees only its snapshot of the list.
+    if stop is not None:
+        start = min(start, stop)
+        cursor = snapshot_cursor_at(node_ids, stop, start)
+        assert_seek_matches_reference(cursor, node_ids, start, target, stop)
 
 
-def test_seek_index_charge_at_the_linear_window_edges():
+def test_cursor_seek_charge_at_the_linear_window_edges():
     node_ids = list(range(0, 40, 2))
-    lists = as_lists(node_ids)
-    for start in range(-1, 22):
-        for stop in (None, 3, 4, 5, 6, 9, 19):
-            for target in range(-1, 42):
-                expected = reference_seek_index(node_ids, start, target, stop)
-                for posting_list in lists:
-                    assert posting_list.seek_index(start, target, stop) == expected
+    for start in range(-1, 21):
+        for target in range(-1, 42):
+            for posting_list in as_lists(node_ids):
+                cursor = fast_cursor_at(posting_list, start)
+                assert_seek_matches_reference(cursor, node_ids, start, target)
+            for stop in (3, 4, 5, 6, 9, 19):
+                if start <= stop:
+                    cursor = snapshot_cursor_at(node_ids, stop, start)
+                    assert_seek_matches_reference(
+                        cursor, node_ids, start, target, stop
+                    )

@@ -101,10 +101,10 @@ def test_seek_skips_tombstoned_landing():
     assert cursor.seek(2) == 9
 
 
-def test_advance_to_is_seek():
+def test_seek_into_a_gap():
     a = make_list("t", {0: [1], 7: [2]})
     cursor = make_cursor([(a, None)])
-    assert cursor.advance_to(3) == 7
+    assert cursor.seek(3) == 7
 
 
 def test_entry_count_sums_children():

@@ -20,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 from repro.corpus import Collection, ContextNode
 from repro.exceptions import IndexError_, StorageError
 from repro.index import InvertedIndex, load_collection, save_collection
+from repro.index.cursor import FAST_MODE, CursorStats, InvertedListCursor
 from repro.index.packed import (
     PACKED_SEGMENT_VERSION,
     SKIP_BLOCK,
@@ -149,13 +150,21 @@ def test_wide_node_ids_use_q_columns(tmp_path):
         assert reader.document(big_id).occurrences == node.occurrences
 
 
-# ------------------------------------------------------ seek_index behaviour
-def test_seek_index_matches_in_memory_probe_for_probe():
+# ------------------------------------------------------------ seek behaviour
+def test_packed_cursor_seeks_match_in_memory_probe_for_probe():
     node_ids = list(range(0, 3 * SKIP_BLOCK * 7, 7))  # several skip blocks
     reference = PostingList("t")
     for node_id in node_ids:
         reference.add_occurrences(node_id, [Position(0, 0, 0)])
     blob = build_packed_segment({}, {"t": reference}, None)
+
+    def cursor_at(posting_list, start):
+        cursor = InvertedListCursor(posting_list, mode=FAST_MODE)
+        for _ in range(start + 1):
+            cursor.next_entry()
+        cursor.stats = CursorStats()
+        return cursor
+
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "seek.seg"
         path.write_bytes(blob)
@@ -165,16 +174,16 @@ def test_seek_index_matches_in_memory_probe_for_probe():
             length = len(node_ids)
             targets = [0, 1, 6, 7, 8, 350, 351, 352, 7 * SKIP_BLOCK,
                        7 * SKIP_BLOCK + 1, node_ids[-1], node_ids[-1] + 1]
-            starts = [0, 1, 5, SKIP_BLOCK - 1, SKIP_BLOCK, length - 1, length]
+            starts = [-1, 0, 1, 5, SKIP_BLOCK - 1, SKIP_BLOCK, length - 1, length]
             for start in starts:
                 for target in targets:
-                    assert packed.seek_index(start, target) == reference.seek_index(
-                        start, target
+                    got = cursor_at(packed, start)
+                    expected = cursor_at(reference, start)
+                    assert got.seek(target) == expected.seek(target), (start, target)
+                    assert (
+                        got.stats.as_extended_dict()
+                        == expected.stats.as_extended_dict()
                     ), (start, target)
-                    stop = length // 2
-                    assert packed.seek_index(
-                        start, target, stop
-                    ) == reference.seek_index(start, target, stop), (start, target)
 
 
 # ------------------------------------------------------------ property tests

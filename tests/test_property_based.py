@@ -11,11 +11,13 @@ Four families of properties:
 * **engine equivalence**: for randomly generated small collections and
   randomly generated queries from the PPRED/NPRED/BOOL fragments, every
   applicable engine returns exactly the node set computed by the reference
-  calculus evaluator.
+  calculus evaluator -- the PPRED/NPRED engines in both cursor access modes,
+  with two and with three position variables.
 """
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.corpus import Collection, ContextNode
@@ -24,6 +26,7 @@ from repro.engine.naive_engine import NaiveCompEngine
 from repro.engine.npred_engine import NPredEngine
 from repro.engine.ppred_engine import PPredEngine
 from repro.index import InvertedIndex
+from repro.index.cursor import ACCESS_MODES
 from repro.languages import ast
 from repro.languages.classify import LanguageClass, classify_query
 from repro.model.calculus import CalculusEvaluator
@@ -86,6 +89,35 @@ def predicate_queries(draw, kinds) -> ast.QueryNode:
     for name, constants in predicates:
         body = ast.AndQuery(body, ast.PredQuery(name, ("p1", "p2"), constants))
     return ast.SomeQuery("p1", ast.SomeQuery("p2", body))
+
+
+VARIABLES = ("p1", "p2", "p3")
+
+
+@st.composite
+def three_variable_queries(draw) -> ast.QueryNode:
+    """SOME p1 SOME p2 SOME p3 (p1 HAS t1 AND p2 HAS t2 AND p3 HAS t3 AND
+    1-3 positive/negative predicates over pairs of p1..p3)."""
+    body: ast.QueryNode = ast.AndQuery(
+        ast.AndQuery(
+            ast.VarHasToken("p1", draw(token_strategy)),
+            ast.VarHasToken("p2", draw(token_strategy)),
+        ),
+        ast.VarHasToken("p3", draw(token_strategy)),
+    )
+    predicates = draw(
+        st.lists(
+            st.sampled_from(NEGATIVE_PREDICATES + POSITIVE_PREDICATES),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    for name, constants in predicates:
+        pair = tuple(draw(st.permutations(VARIABLES))[:2])
+        body = ast.AndQuery(body, ast.PredQuery(name, pair, constants))
+    for variable in reversed(VARIABLES):
+        body = ast.SomeQuery(variable, body)
+    return body
 
 
 # --------------------------------------------------------------------------
@@ -168,22 +200,38 @@ def test_bool_engine_matches_the_oracle(collection, query):
     assert NaiveCompEngine(index).evaluate(query) == oracle
 
 
+@pytest.mark.parametrize("mode", ACCESS_MODES)
 @settings(max_examples=40, deadline=None)
 @given(collections(), predicate_queries(POSITIVE_PREDICATES))
-def test_ppred_engine_matches_the_oracle(collection, query):
+def test_ppred_engine_matches_the_oracle(mode, collection, query):
     assert classify_query(query) is LanguageClass.PPRED
     index = InvertedIndex(collection)
     oracle = CalculusEvaluator().evaluate_query(query.to_calculus_query(), collection)
-    assert PPredEngine(index).evaluate(query) == oracle
-    assert NPredEngine(index).evaluate(query) == oracle
+    assert PPredEngine(index, access_mode=mode).evaluate(query) == oracle
+    assert NPredEngine(index, access_mode=mode).evaluate(query) == oracle
     assert NaiveCompEngine(index).evaluate(query) == oracle
 
 
+@pytest.mark.parametrize("mode", ACCESS_MODES)
 @settings(max_examples=40, deadline=None)
 @given(collections(), predicate_queries(NEGATIVE_PREDICATES + POSITIVE_PREDICATES))
-def test_npred_engine_matches_the_oracle(collection, query):
+def test_npred_engine_matches_the_oracle(mode, collection, query):
     index = InvertedIndex(collection)
     oracle = CalculusEvaluator().evaluate_query(query.to_calculus_query(), collection)
-    assert NPredEngine(index).evaluate(query) == oracle
-    assert NPredEngine(index, orders="all").evaluate(query) == oracle
+    for orders in ("minimal", "all"):
+        engine = NPredEngine(index, orders=orders, access_mode=mode)
+        assert engine.evaluate(query) == oracle
     assert NaiveCompEngine(index).evaluate(query) == oracle
+
+
+@pytest.mark.parametrize("mode", ACCESS_MODES)
+@settings(max_examples=40, deadline=None)
+@given(collections(max_nodes=8), three_variable_queries())
+def test_three_variable_queries_match_the_oracle(mode, collection, query):
+    index = InvertedIndex(collection)
+    oracle = CalculusEvaluator().evaluate_query(query.to_calculus_query(), collection)
+    for orders in ("minimal", "all"):
+        engine = NPredEngine(index, orders=orders, access_mode=mode)
+        assert engine.evaluate(query) == oracle
+    if classify_query(query) is LanguageClass.PPRED:
+        assert PPredEngine(index, access_mode=mode).evaluate(query) == oracle

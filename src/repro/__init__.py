@@ -11,7 +11,7 @@ The package is organised as follows:
   and algebra (FTA), and their equivalence translations;
 * :mod:`repro.languages` -- the BOOL, DIST and COMP surface languages;
 * :mod:`repro.engine`    -- the four evaluation algorithms (BOOL merge, PPRED
-  single-scan, NPRED permutation threads, naive COMP);
+  single-scan, NPRED ordering trials, naive COMP);
 * :mod:`repro.scoring`   -- the scoring framework (TF-IDF, probabilistic);
 * :mod:`repro.core`      -- the high-level :class:`~repro.core.engine.FullTextEngine`;
 * :mod:`repro.bench`     -- workload generation and the experiment harness

@@ -5,8 +5,8 @@ sweep, runs the series of Section 6 through the
 :class:`~repro.bench.harness.ExperimentHarness`, and returns an
 :class:`~repro.bench.harness.ExperimentTable` whose rows mirror the figure.
 
-Two design ablations are tables of the same kind: NPRED evaluation threads
-over the necessary orders only vs every total order
+Two design ablations are tables of the same kind: NPRED ordering trials
+per node over the necessary orders only vs every total order
 (:func:`ablation_npred_orders`), and the cost of score propagation
 (:func:`ablation_scoring`).  The third ablation -- PPRED's advance hints
 against COMP's materialisation -- is Figure 8's PPRED-POS vs COMP-POS
@@ -182,11 +182,14 @@ def figure8(scale: FigureScale | None = None, series: Sequence[str] = SERIES) ->
 
 
 def ablation_npred_orders(scale: FigureScale | None = None) -> ExperimentTable:
-    """NPRED threads over the necessary orders only vs every total order.
+    """NPRED trials per node: the necessary orders only vs every total order.
 
     One ``not_distance`` over the first two of 2, 3 and 4 query tokens: the
     other tokens take part in no predicate, which is where generating only
     the necessary orders (the paper's implementation) beats ``toks_Q!``.
+    The engine merges each block once whatever the orders, so both series
+    do the same cursor work; they differ only in how many orderings are
+    tried on each aligned node (2 against up to 24).
     """
     scale = scale or FigureScale.laptop()
     index = InvertedIndex(scale.collection())

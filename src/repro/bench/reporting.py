@@ -80,7 +80,7 @@ def shape_summary(table: ExperimentTable) -> list[str]:
         ("BOOL is never slower than COMP-POS", "BOOL", "COMP-POS", 1.5),
         ("PPRED-POS is never slower than COMP-POS", "PPRED-POS", "COMP-POS", 1.5),
         # PPRED vs NPRED on positive predicates is a constant-factor contest
-        # (one permutation thread each); allow generous noise headroom.
+        # (one ordering trial each); allow generous noise headroom.
         ("PPRED-POS is comparable to NPRED-POS", "PPRED-POS", "NPRED-POS", 4.0),
         ("NPRED-NEG is never slower than COMP-NEG", "NPRED-NEG", "COMP-NEG", 1.5),
         # The NPRED-orders ablation: necessary orders only vs every order.

@@ -17,7 +17,7 @@ one-shard case: every engine dispatches through the same coordinator.
 * :mod:`repro.cluster.merge`         -- merging of the sorted per-shard id
   streams and rankings;
 * :mod:`repro.cluster.cache`         -- the LRU result cache keyed on
-  normalized plan + access mode + scoring + generation, serving smaller
+  normalized plan + engine + generation, serving smaller
   top-k requests from a warm wider entry (exact rankings are prefixes of
   each other);
 * :mod:`repro.cluster.live`          -- live (mutable) shards: one

@@ -1,11 +1,10 @@
 """An LRU result cache for the scatter-gather query service.
 
-Keys are built from everything that determines the answer: the *canonical*
-plan IR text (:func:`repro.planner.ir.canonical_key` -- AND/OR chains
-flattened and operand order normalised, so commuted variants like
-``b AND a`` vs ``a AND b`` share one entry), the forced engine, the cursor
-access mode, the scoring backend, the NPRED order strategy and the index
-generation.
+Keys are built from everything that determines the answer and can vary
+within one cache: the *canonical* plan IR text
+(:func:`repro.planner.ir.canonical_key` -- AND/OR chains flattened and
+operand order normalised, so commuted variants like ``b AND a`` vs
+``a AND b`` share one entry), the forced engine and the index generation.
 
 The top-k cut is deliberately **not** part of the key: exact top-k rankings
 are prefixes of each other, so one entry computed at ``k=10`` can serve any
@@ -35,21 +34,15 @@ from repro.telemetry import instruments
 DEFAULT_CACHE_SIZE = 128
 
 
-def make_cache_key(
-    plan_text: str,
-    engine: str,
-    access_mode: str,
-    scoring: str,
-    npred_orders: str,
-    generation: int,
-) -> tuple:
+def make_cache_key(plan_text: str, engine: str, generation: int) -> tuple:
     """The canonical cache key for one query execution (top-k excluded).
 
     ``plan_text`` is the canonical plan-IR rendering of the query, not its
     surface text -- callers pass ``canonical_key(query)``; ``generation`` is
-    the index generation the answer was computed at.
+    the index generation the answer was computed at.  The access mode and
+    scoring model are fixed for the executor that owns the cache.
     """
-    return (plan_text, engine, access_mode, scoring, npred_orders, generation)
+    return (plan_text, engine, generation)
 
 
 class QueryCache:

@@ -74,7 +74,6 @@ class ScatterGatherExecutor:
         index,
         registry: PredicateRegistry | None = None,
         scoring: "str | ScoringModel | None" = None,
-        npred_orders: str = "minimal",
         access_mode: str = PAPER_MODE,
         max_workers: int | None = None,
         cache_size: int | None = DEFAULT_CACHE_SIZE,
@@ -85,10 +84,8 @@ class ScatterGatherExecutor:
             index.shards if isinstance(index, ShardedIndex) else [Shard(0, index)]
         )
         self.registry = registry or default_registry()
-        self.npred_orders = npred_orders
         self.access_mode = check_access_mode(access_mode)
         self._scoring_spec = scoring
-        self.scoring_name = self._resolve_scoring_name(scoring)
         # Planning is a *coordinator* concern: one planner over the global
         # statistics plans each query once, and the physical plan ships to
         # every shard -- so all shards make identical choices, and
@@ -105,7 +102,6 @@ class ScatterGatherExecutor:
                 shard.index,
                 self.registry,
                 model,
-                npred_orders=npred_orders,
                 access_mode=self.access_mode,
                 optimizer=OPTIMIZER_OFF,
             )
@@ -419,25 +415,11 @@ class ScatterGatherExecutor:
             "scoring must be None, a model name, or a ScoringModel instance"
         )
 
-    def _resolve_scoring_name(self, spec: "str | ScoringModel | None") -> str:
-        if spec is None:
-            return "none"
-        if isinstance(spec, str):
-            return spec.lower()
-        return getattr(spec, "name", type(spec).__name__)
-
     def _cache_key(self, query: ast.QueryNode, engine: str, generation: int) -> tuple:
         # Keyed on the *canonical* plan IR text, not the surface text:
         # ``b AND a`` and ``a AND b`` are the same plan and share one cache
         # entry (AND/OR evaluation and scoring are order-independent).
-        return make_cache_key(
-            canonical_key(query),
-            engine,
-            self.access_mode,
-            self.scoring_name,
-            self.npred_orders,
-            generation,
-        )
+        return make_cache_key(canonical_key(query), engine, generation)
 
     @staticmethod
     def _covers(entry: MergedEvaluationResult, top_k: int | None) -> bool:

@@ -75,7 +75,6 @@ class FullTextEngine:
         index: "InvertedIndex | LiveIndex | ShardedIndex",
         registry: PredicateRegistry | None = None,
         scoring: "str | ScoringModel | None" = None,
-        npred_orders: str = "minimal",
         access_mode: str = "paper",
         max_workers: int | None = None,
         cache_size: int | None = None,
@@ -91,7 +90,6 @@ class FullTextEngine:
             index,
             self.registry,
             scoring,
-            npred_orders=npred_orders,
             access_mode=access_mode,
             cache_size=cache_size,
             optimizer=optimizer,

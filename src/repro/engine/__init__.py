@@ -1,4 +1,4 @@
-"""Evaluation engines: BOOL merge, PPRED single-scan, NPRED threads, naive COMP."""
+"""Evaluation engines: BOOL merge, PPRED single-scan, NPRED ordering trials, naive COMP."""
 
 from repro.engine.bool_engine import BoolEngine
 from repro.engine.executor import (

@@ -130,14 +130,12 @@ class Executor:
         index: InvertedIndex,
         registry: PredicateRegistry | None = None,
         scoring: ScoringModel | None = None,
-        npred_orders: str = "minimal",
         access_mode: str = PAPER_MODE,
         optimizer: str = DEFAULT_OPTIMIZER,
     ) -> None:
         self.index = index
         self.registry = registry or default_registry()
         self.scoring = scoring
-        self.npred_orders = npred_orders
         self.access_mode = check_access_mode(access_mode)
         self.optimizer = check_optimizer_mode(optimizer)
         self.planner = QueryPlanner(self._df, version=self._index_generation)
@@ -470,11 +468,7 @@ class Executor:
             )
         if engine_name == "npred":
             engine = NPredEngine(
-                index,
-                self.registry,
-                orders=self.npred_orders,
-                access_mode=mode,
-                physical=physical,
+                index, self.registry, access_mode=mode, physical=physical
             )
             plan = self._cached_plan(query, engine_name, plan_cache)
             return engine.evaluate_with_stats(

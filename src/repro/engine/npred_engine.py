@@ -11,18 +11,19 @@ permutation as an invariant (``p_{i1} <= ... <= p_{in}``) and, when a negative
 predicate fails, moves only the cursor holding the largest position of the
 predicate under that order (Algorithms 6 and 7).
 
-Implementation note: instead of stacking the modular PPRED operators, each
-conjunctive block is evaluated by a fused :class:`NPredBlockOperator` that
-holds the block's scan cursors directly, performs the multi-way node merge,
-enforces the permutation order and applies all predicates (positive and
-negative) in one loop.  This is behaviourally identical to the paper's
-per-operator formulation -- the set of cursor movements is the same -- but
-far easier to reason about.  The per-operator formulation remains available
-for PPRED.
+Implementation note: each conjunctive block is evaluated by one fused
+:class:`NPredBlockOperator` over one cursor set.  The node merge never looks
+at the predicates, so the paper's threads all visit the same entries; the
+operator merges once and runs the threads in lock-step, trying each ordering
+on every aligned node (from the node's first positions, which costs no
+cursor operation) until one finds a solution.  The answer is the union of
+the per-thread answers; the paper's one merge per thread remains the
+specification and an upper bound on the work.
 
 The engine also supports the paper's optimisation ("our implementation
 generates only the necessary partial orders"): with ``orders="minimal"`` it
-permutes only the cursors that participate in negative predicates.
+permutes only the cursors that participate in negative predicates, so fewer
+trials run per node.
 """
 
 from __future__ import annotations
@@ -67,17 +68,15 @@ class _BoundPredicate:
 
 
 class NPredBlockOperator(ops.PlanOperator):
-    """Fused evaluation of one conjunctive block under one cursor ordering.
+    """Fused evaluation of one conjunctive block under several orderings.
 
-    ``ordering`` lists the scan indices whose positions the thread keeps in
-    non-decreasing order (``p_{i1} <= p_{i2} <= ...``).  Every scan used by a
-    negative predicate must be covered by the ordering; scans outside it are
-    unconstrained (they behave exactly as in the PPRED evaluation).  The NPRED
-    engine runs one such operator per ordering permutation and unions the
-    results.
-
-    The operator is node-level (arity 0): ``advance_node`` returns the next
-    node that contains a solution compatible with the thread's ordering.
+    Each ordering lists scan indices whose positions one of the paper's
+    threads keeps non-decreasing (``p_{i1} <= p_{i2} <= ...``); it must cover
+    every scan of a negative predicate, and scans outside it are
+    unconstrained (as in the PPRED evaluation).  The operator is node-level
+    (arity 0): ``advance_node`` merges to the next common node and tries the
+    orderings there in turn, returning the node once one finds a solution --
+    the union of the per-ordering answers, for the cursor work of one merge.
     """
 
     arity = 0
@@ -86,36 +85,36 @@ class NPredBlockOperator(ops.PlanOperator):
         self,
         scans: Sequence[ops.ScanOperator],
         predicates: Sequence[_BoundPredicate],
-        ordering: Sequence[int],
+        orderings: Sequence[Sequence[int]],
         extra_inputs: Sequence[ops.PlanOperator] = (),
     ) -> None:
         if not scans:
             raise EvaluationError("an NPRED block needs at least one token scan")
-        if len(set(ordering)) != len(ordering) or any(
-            not 0 <= attr < len(scans) for attr in ordering
-        ):
-            raise EvaluationError(
-                f"ordering {ordering!r} is not a list of distinct scan indices"
-            )
-        covered = set(ordering)
-        for bound in predicates:
-            if bound.predicate.polarity is Polarity.NEGATIVE and not set(
-                bound.attr_indices
-            ) <= covered:
-                raise EvaluationError(
-                    f"negative predicate {bound.predicate.name!r} uses scans "
-                    "outside the thread's ordering"
-                )
+        negative_attrs = {
+            attr
+            for bound in predicates
+            if bound.predicate.polarity is Polarity.NEGATIVE
+            for attr in bound.attr_indices
+        }
         self.scans = list(scans)
         self.predicates = list(predicates)
-        self.ordering = tuple(ordering)
         self.extra_inputs = list(extra_inputs)
         self._inputs: list[ops.PlanOperator] = self.scans + self.extra_inputs
-        #: Scan index -> its slot in the thread's ordering.
-        self._rank = {attr: slot for slot, attr in enumerate(self.ordering)}
-        #: Consecutive ``(earlier, later)`` scans under the ordering.
-        ordered = [self.scans[attr] for attr in self.ordering]
-        self._ordered_pairs = list(zip(ordered, ordered[1:]))
+        #: One ``(rank, ordered pairs)`` trial per ordering: scan index -> its
+        #: slot in the ordering, and consecutive ``(earlier, later)`` scans.
+        self._trials: list[tuple[dict[int, int], list[tuple]]] = []
+        for ordering in orderings:
+            covered = set(ordering)
+            if len(covered) < len(ordering) or not (
+                negative_attrs <= covered <= set(range(len(scans)))
+            ):
+                raise EvaluationError(
+                    f"ordering {ordering!r} must list distinct scan indices "
+                    "covering every scan of a negative predicate"
+                )
+            ordered = [self.scans[attr] for attr in ordering]
+            rank = {attr: slot for slot, attr in enumerate(ordering)}
+            self._trials.append((rank, list(zip(ordered, ordered[1:]))))
         self._node: int | None = None
 
     # ------------------------------------------------------------------ API
@@ -125,7 +124,7 @@ class NPredBlockOperator(ops.PlanOperator):
             node = self._align_inputs(node)
             if node is None:
                 break
-            if self._enforce_order() and self._satisfy_predicates():
+            if self._any_trial_succeeds():
                 self._node = node
                 return node
             node = self._advance_all_inputs()
@@ -142,6 +141,18 @@ class NPredBlockOperator(ops.PlanOperator):
         raise EvaluationError("NPRED blocks expose node-level iteration only")
 
     # ------------------------------------------------------------- internals
+    def _any_trial_succeeds(self) -> bool:
+        """Run the orderings on the aligned node, each from its first positions."""
+        scans = self.scans
+        for rank, ordered_pairs in self._trials:
+            for scan in scans:
+                scan.rewind_positions()
+            if self._enforce_order(ordered_pairs) and self._satisfy_predicates(
+                rank, ordered_pairs
+            ):
+                return True
+        return False
+
     def _advance_all_inputs(self) -> int | None:
         highest = -1  # node ids are non-negative
         for operator in self._inputs:
@@ -177,16 +188,17 @@ class NPredBlockOperator(ops.PlanOperator):
             if not raised:
                 return target
 
-    def _enforce_order(self) -> bool:
+    @staticmethod
+    def _enforce_order(ordered_pairs) -> bool:
         """Restore the ordering invariant ``p_{i1} <= ... <= p_{ik}``."""
-        for earlier, later in self._ordered_pairs:
+        for earlier, later in ordered_pairs:
             previous = earlier.position(0).offset
             if later.position(0).offset < previous:
                 if not later.advance_position(0, previous):
                     return False
         return True
 
-    def _satisfy_predicates(self) -> bool:
+    def _satisfy_predicates(self, rank: dict[int, int], ordered_pairs) -> bool:
         """Advance cursors until every predicate holds (Algorithm 7 loop)."""
         scans = self.scans
         predicates = self.predicates
@@ -197,18 +209,18 @@ class NPredBlockOperator(ops.PlanOperator):
                     break
             else:
                 return True
-            if not self._advance_for(bound, positions) or not self._enforce_order():
+            advanced = self._advance_for(bound, positions, rank)
+            if not advanced or not self._enforce_order(ordered_pairs):
                 return False
 
     def _advance_for(
-        self, bound: _BoundPredicate, positions: Sequence[Position]
+        self, bound: _BoundPredicate, positions: Sequence[Position], rank: dict
     ) -> bool:
         local_positions = [positions[idx] for idx in bound.attr_indices]
         if bound.predicate.polarity is Polarity.NEGATIVE:
-            # Move the cursor holding the largest position under the thread's
+            # Move the cursor holding the largest position under the trial's
             # ordering (Algorithm 7): only "extending the gap" can make a
             # negative predicate true.
-            rank = self._rank
             latest_local = max(
                 range(len(bound.attr_indices)),
                 key=lambda local: rank[bound.attr_indices[local]],
@@ -229,7 +241,7 @@ class NPredBlockOperator(ops.PlanOperator):
 
 
 class NPredEngine:
-    """Permutation-threaded evaluation of negative-predicate queries."""
+    """Ordering-trial evaluation of negative-predicate queries."""
 
     name = "npred"
 
@@ -249,7 +261,7 @@ class NPredEngine:
         self.access_mode = check_access_mode(access_mode)
         #: Optional :class:`~repro.planner.physical.PhysicalPlan`, accepted
         #: for API uniformity with the other engines.  NPRED's cursor order
-        #: is *semantic* (the permutation threads enforce position orderings
+        #: is *semantic* (the ordering trials enforce position orderings
         #: over specific scans), so the plan's join order is not applied
         #: here; the plan still carries the access-mode and bound-strategy
         #: choices, which the executor applies around the engine.
@@ -269,9 +281,9 @@ class NPredEngine:
     ) -> tuple[list[int], CursorStats]:
         """Evaluate; ``observer`` sees each result node exactly once.
 
-        The permutation threads can each rediscover the same node, so the
-        observer is fed from the deduplicated, sorted union -- never from
-        inside a thread.
+        Blocks combine by set algebra (``OR``, ``AND``, ``AND NOT``), so the
+        observer is fed from the final sorted node set -- never from inside
+        a block.
         """
         if plan is None:
             plan = extract_plan(query, self.registry)
@@ -316,18 +328,17 @@ class NPredEngine:
             )
             for spec in block.predicates
         ]
-        results: set[int] = set()
-        for permutation in self._permutations(block, bound_predicates):
-            scans = [
-                ops.ScanOperator(self.index.open_cursor(token, factory))
-                for _, token in block.bindings
-            ]
-            extra = [
-                self._closed_operator(conjunct, factory)
-                for conjunct in block.closed_conjuncts
-            ]
-            operator = NPredBlockOperator(scans, bound_predicates, permutation, extra)
-            results.update(ops.collect_nodes(operator))
+        scans = [
+            ops.ScanOperator(self.index.open_cursor(token, factory))
+            for _, token in block.bindings
+        ]
+        extra = [
+            self._closed_operator(conjunct, factory)
+            for conjunct in block.closed_conjuncts
+        ]
+        orderings = list(self._permutations(block, bound_predicates))
+        operator = NPredBlockOperator(scans, bound_predicates, orderings, extra)
+        results = set(ops.collect_nodes(operator))
         for negated in block.negated:
             results -= self._evaluate_plan(negated, factory)
         return results
@@ -341,14 +352,14 @@ class NPredEngine:
     def _permutations(
         self, block: BlockPlan, bound_predicates: Sequence[_BoundPredicate]
     ) -> Iterable[tuple[int, ...]]:
-        """Cursor orderings to evaluate: one evaluation thread per ordering.
+        """Cursor orderings to try on each node: one per paper thread.
 
         With ``orders="all"`` every permutation of all query-token cursors is
         used, as in the paper's basic algorithm (up to ``toks_Q!`` threads).
         With ``orders="minimal"`` (the paper's "only the necessary partial
         orders" optimisation) only the cursors that participate in negative
         predicates are ordered -- cursors outside the ordering are left
-        unconstrained, so positive-only blocks run as a single thread with no
+        unconstrained, so positive-only blocks run a single trial with no
         ordering at all.
         """
         count = len(block.bindings)

@@ -126,6 +126,10 @@ class ScanOperator(PlanOperator):
         self._pointer = 0
         return node
 
+    def rewind_positions(self) -> None:
+        """Return to the current entry's first position (no cursor operation)."""
+        self._pointer = 0
+
     def entry_count(self) -> int:
         """Length of the underlying inverted list (for rarest-first ordering)."""
         return self._cursor.entry_count()

@@ -83,9 +83,8 @@ class PostingList:
         "_decoded",
     )
 
-    #: Bound on the decoded-entry cache.  Multi-pass evaluation (the NPRED
-    #: engine re-scans its lists once per permutation thread) hits the same
-    #: entries repeatedly; caching their decoded position tuples avoids a
+    #: Bound on the decoded-entry cache.  Repeated evaluation (hot lists
+    #: read by query after query) hits the same entries repeatedly; caching their decoded position tuples avoids a
     #: decode storm while keeping the materialised-object memory bounded.
     DECODE_CACHE_LIMIT = 1024
 

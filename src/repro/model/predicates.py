@@ -29,7 +29,7 @@ For a **negative** predicate that is false at ``positions``,
 :meth:`Predicate.advance_target` returns, for the index holding the largest
 position, the minimal offset that could make the predicate true with the
 remaining positions fixed (the NPRED algorithm only ever moves the largest
-position of its permutation thread).
+position under the cursor ordering it enforces).
 """
 
 from __future__ import annotations
@@ -251,7 +251,7 @@ class DiffPosPredicate(Predicate):
     *negative* predicate under the Section 5.5.2 / 5.6.1 definitions: it is
     falsified only on the diagonal, and making it true requires *extending*
     the gap between the positions -- which position must move depends on the
-    data, exactly the non-determinism the NPRED permutation threads resolve.
+    data, exactly the non-determinism the NPRED cursor orderings resolve.
     (A single-scan PPRED evaluation that always advanced one fixed position
     could miss solutions.)
     """

@@ -1,14 +1,17 @@
-"""Tests for the NPRED permutation-thread engine."""
+"""Tests for the NPRED engine (one merge per block, ordering trials per node)."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.corpus import Collection, ContextNode
-from repro.engine.npred_engine import NPredEngine
+from repro.corpus.synthetic import generate_inex_like_collection
+from repro.engine.npred_engine import NPredBlockOperator, NPredEngine, _BoundPredicate
 from repro.engine.naive_engine import NaiveCompEngine
+from repro.engine.operators import ScanOperator, collect_nodes
 from repro.exceptions import UnsupportedQueryError
 from repro.index import InvertedIndex
+from repro.index.cursor import FAST_MODE, PAPER_MODE
 from repro.languages.parser import LanguageLevel, QueryParser
 
 _PARSER = QueryParser(LanguageLevel.COMP)
@@ -100,17 +103,89 @@ def test_union_of_blocks(engine):
     assert result == [0, 1, 2, 4]
 
 
-def test_all_orders_and_minimal_orders_agree(index):
-    minimal = NPredEngine(index, orders="minimal")
-    exhaustive = NPredEngine(index, orders="all")
-    for text in [
-        NOT_DISTANCE_QUERY,
-        "SOME p1 SOME p2 (p1 HAS 'a' AND p2 HAS 'b' AND not_ordered(p1, p2))",
-        "SOME p1 SOME p2 SOME p3 (p1 HAS 'a' AND p2 HAS 'b' AND p3 HAS 'x' "
-        "AND not_distance(p1, p2, 2) AND ordered(p1, p3))",
-    ]:
+#: Three-variable blocks with several orderings: negatives on two variables
+#: (2 orderings under ``orders="minimal"``, 6 under ``"all"``) or on all
+#: three, a closed ``OR`` conjunct, and ``AND NOT``.
+ORDERS_QUERIES = [
+    "SOME p1 SOME p2 SOME p3 (p1 HAS 'usability' AND p2 HAS 'software' "
+    "AND p3 HAS 'testing' AND not_distance(p1, p2, 5) AND ordered(p1, p3))",
+    "SOME p1 SOME p2 SOME p3 (p1 HAS 'usability' AND p2 HAS 'software' "
+    "AND p3 HAS 'testing' AND not_distance(p1, p2, 5) AND not_ordered(p2, p3))",
+    "SOME p1 SOME p2 SOME p3 (p1 HAS 'usability' AND p2 HAS 'software' "
+    "AND p3 HAS 'testing' AND not_distance(p1, p2, 5) "
+    "AND ('efficient' OR 'interface'))",
+    "SOME p1 SOME p2 SOME p3 (p1 HAS 'usability' AND p2 HAS 'software' "
+    "AND p3 HAS 'efficient' AND not_ordered(p1, p2)) AND NOT 'interface'",
+]
+
+
+@pytest.fixture(scope="module")
+def inex_index() -> InvertedIndex:
+    return InvertedIndex(
+        generate_inex_like_collection(
+            num_nodes=200, tokens_per_node=40, pos_per_entry=3, document_frequency=0.5
+        )
+    )
+
+
+class PerOrderingEngine(NPredEngine):
+    """The paper's per-thread algorithm (Section 5.6), rebuilt from the
+    production block operator: every ordering merges the block on its own
+    cursors, and the answers are unioned."""
+
+    def _evaluate_block(self, block, factory):
+        bound = [
+            _BoundPredicate(
+                self.registry.get(spec.name),
+                [block.attribute_of(var) for var in spec.variables],
+                spec.constants,
+            )
+            for spec in block.predicates
+        ]
+        results = set()
+        for ordering in self._permutations(block, bound):
+            scans = [
+                ScanOperator(self.index.open_cursor(token, factory))
+                for _, token in block.bindings
+            ]
+            extra = [self._closed_operator(c, factory) for c in block.closed_conjuncts]
+            operator = NPredBlockOperator(scans, bound, [ordering], extra)
+            results.update(collect_nodes(operator))
+        for negated in block.negated:
+            results -= self._evaluate_plan(negated, factory)
+        return results
+
+
+@pytest.mark.parametrize("mode", [PAPER_MODE, FAST_MODE])
+def test_all_orders_and_minimal_orders_agree(index, inex_index, mode):
+    """Both order sets give the same answer for the same cursor work (one
+    merge per block), and that answer is the union of the per-ordering
+    threads, whose cursor work bounds the shared merge's from above."""
+    cases = [(inex_index, text) for text in ORDERS_QUERIES] + [
+        (index, NOT_DISTANCE_QUERY),
+        (index, "SOME p1 SOME p2 (p1 HAS 'a' AND p2 HAS 'b' AND not_ordered(p1, p2))"),
+        (
+            index,
+            "SOME p1 SOME p2 SOME p3 (p1 HAS 'a' AND p2 HAS 'b' AND p3 HAS 'x' "
+            "AND not_distance(p1, p2, 2) AND ordered(p1, p3))",
+        ),
+    ]
+    for case_index, text in cases:
         query = _PARSER.parse_closed(text)
-        assert minimal.evaluate(query) == exhaustive.evaluate(query)
+        runs = {}
+        for orders in ("minimal", "all"):
+            for engine_class in (NPredEngine, PerOrderingEngine):
+                engine = engine_class(case_index, orders=orders, access_mode=mode)
+                nodes, stats = engine.evaluate_with_stats(query)
+                runs[engine_class, orders] = nodes, stats.as_extended_dict()
+        shared, shared_stats = runs[NPredEngine, "minimal"]
+        assert runs[NPredEngine, "all"] == (shared, shared_stats), text
+        for orders in ("minimal", "all"):
+            threads, thread_stats = runs[PerOrderingEngine, orders]
+            assert threads == shared, text
+            assert all(
+                shared_stats[name] <= count for name, count in thread_stats.items()
+            ), text
 
 
 def test_agrees_with_naive_comp_engine(index):

@@ -21,9 +21,9 @@ planner memo is dropped.  The generation is part of every cache key, so
 entries cached before a write become unreachable and age out of the LRU.
 
 With ``cache_size`` set, merged results are memoised in a
-:class:`~repro.cluster.cache.QueryCache` keyed on the normalized plan,
-engine choice, access mode, scoring backend, NPRED order strategy and
-generation -- but *not* the top-k cut: exact top-k rankings are prefixes of
+:class:`~repro.cluster.cache.QueryCache` keyed on ``(canonical plan, engine,
+generation)`` -- the access mode and scoring model are fixed for the
+coordinator that owns the cache -- but *not* on the top-k cut: exact top-k rankings are prefixes of
 each other, so a warm ``k=10`` entry serves a ``k=5`` request (a genuine
 hit) and only a wider request recomputes and overwrites the entry.  Without
 a cache no key is computed at all.

@@ -90,6 +90,11 @@ class ContextNode:
         """``Positions(n)``: every token position in this node, in order."""
         return [occ.position for occ in self.occurrences]
 
+    def has_position(self, position: Position | int) -> bool:
+        """``hasPos(n, p)``: ``position`` is a position of this node."""
+        offset = position.offset if isinstance(position, Position) else int(position)
+        return offset in self._offset_index()
+
     def token_at(self, position: Position | int) -> str:
         """``Token(p)``: the token stored at ``position``.
 

@@ -9,15 +9,15 @@ from repro.engine.executor import (
     Executor,
 )
 from repro.engine.naive_engine import NaiveCompEngine, NaiveEvaluation
-from repro.engine.npred_engine import NPredBlockOperator, NPredEngine
+from repro.engine.npred_engine import NPredEngine
 from repro.engine.operators import (
+    BlockOperator,
+    BoundPredicate,
     JoinOperator,
     NodeDifferenceOperator,
     NodeUnionOperator,
     PlanOperator,
-    ProjectOperator,
     ScanOperator,
-    SelectOperator,
     ZigZagJoinOperator,
     collect_nodes,
     rarest_first_order,
@@ -48,15 +48,14 @@ __all__ = [
     "Executor",
     "NaiveCompEngine",
     "NaiveEvaluation",
-    "NPredBlockOperator",
     "NPredEngine",
+    "BlockOperator",
+    "BoundPredicate",
     "JoinOperator",
     "NodeDifferenceOperator",
     "NodeUnionOperator",
     "PlanOperator",
-    "ProjectOperator",
     "ScanOperator",
-    "SelectOperator",
     "ZigZagJoinOperator",
     "collect_nodes",
     "rarest_first_order",

@@ -1,44 +1,40 @@
 """Pipelined plan operators over inverted-list cursors (PPRED, Algorithms 1–5).
 
 The PPRED evaluation strategy (paper, Section 5.5.3) evaluates an operator
-tree without materialising intermediate relations.  Every operator exposes the
-same cursor-style API:
+tree without materialising intermediate relations.  Every operator iterates
+*context nodes*:
 
-* ``advance_node()``      -- move to the next context node that has at least
-  one result tuple and position the operator on that node's lexicographically
-  smallest tuple; returns the node id or ``None``;
+* ``advance_node()``      -- move to the next node with at least one result
+  and return its id, or ``None`` at the end;
 * ``current_node()``      -- the node the operator is currently on;
-* ``advance_position(i, min_offset)`` -- within the current node, move to the
-  smallest result tuple whose ``i``-th position has offset ``>= min_offset``
-  (all other positions at least their current values); returns ``False`` when
-  no such tuple exists in the node;
-* ``position(i)``         -- the current value of the ``i``-th position.
+* ``advance_node_to(t)``  -- skip to the first result node ``>= t``.
 
 The operators implemented here are the scan (over one inverted list), the
-CNode sort-merge join, the predicate selection driven by positive-predicate
-*advance hints*, projection, and the node-level union / difference used for
-``OR`` and ``AND NOT`` of closed subqueries.
+CNode sort-merge join and its n-ary zig-zag form, the conjunctive *block*
+(selection by predicates and projection to CNode, Algorithms 2–3, fused into
+one per-node loop that also runs NPRED's cursor orderings, Section 5.6), and
+the node-level union / difference used for ``OR`` and ``AND NOT`` of closed
+subqueries.  Only :class:`ScanOperator` exposes positions; the block reads
+them from its scans directly, and everything above a block is node-level.
 
-The API uses ``min_offset`` (advance to *at least* this offset) rather than
-the paper's strict ``> pos`` convention; the two are interchangeable
-(``> pos`` ≡ ``>= pos + 1``) and the inclusive form composes directly with
-the predicates' advance hints.
+Positions advance with ``min_offset`` (move to *at least* this offset)
+rather than the paper's strict ``> pos`` convention; the two are
+interchangeable (``> pos`` ≡ ``>= pos + 1``) and the inclusive form composes
+directly with the predicates' advance hints.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from repro.exceptions import EvaluationError
 from repro.index.cursor import FAST_MODE, InvertedListCursor
 from repro.model.positions import Position
-from repro.model.predicates import Predicate
+from repro.model.predicates import Polarity, Predicate
 
 
 class PlanOperator:
     """Base class of pipelined plan operators."""
-
-    arity: int = 0
 
     def advance_node(self) -> int | None:
         raise NotImplementedError
@@ -62,27 +58,9 @@ class PlanOperator:
             if node is None or node >= target:
                 return node
 
-    def advance_position(self, index: int, min_offset: int) -> bool:
-        raise NotImplementedError
-
-    def position(self, index: int) -> Position:
-        raise NotImplementedError
-
-    def positions(self) -> list[Position]:
-        """All current positions (convenience for predicates and tests)."""
-        return [self.position(i) for i in range(self.arity)]
-
-    def _check_index(self, index: int) -> None:
-        if not 0 <= index < self.arity:
-            raise EvaluationError(
-                f"position index {index} out of range for arity {self.arity}"
-            )
-
 
 class ScanOperator(PlanOperator):
     """Sequential scan over one token inverted list (one position attribute)."""
-
-    arity = 1
 
     def __init__(self, cursor: InvertedListCursor) -> None:
         self._cursor = cursor
@@ -134,9 +112,9 @@ class ScanOperator(PlanOperator):
         """Length of the underlying inverted list (for rarest-first ordering)."""
         return self._cursor.entry_count()
 
-    def advance_position(self, index: int, min_offset: int) -> bool:
-        if index != 0:  # the only attribute; _check_index raises
-            self._check_index(index)
+    def advance_position(self, min_offset: int) -> bool:
+        """Move to the current entry's first position with offset
+        ``>= min_offset``; ``False`` when the entry has none."""
         positions = self._positions
         pointer = self._pointer
         count = len(positions)
@@ -145,9 +123,7 @@ class ScanOperator(PlanOperator):
         self._pointer = pointer
         return pointer < count
 
-    def position(self, index: int) -> Position:
-        if index != 0:
-            self._check_index(index)
+    def position(self) -> Position:
         try:
             return self._positions[self._pointer]
         except IndexError:
@@ -160,7 +136,6 @@ class JoinOperator(PlanOperator):
     def __init__(self, left: PlanOperator, right: PlanOperator) -> None:
         self.left = left
         self.right = right
-        self.arity = left.arity + right.arity
         self._node: int | None = None
 
     def advance_node(self) -> int | None:
@@ -188,131 +163,14 @@ class JoinOperator(PlanOperator):
     def current_node(self) -> int | None:
         return self._node
 
-    def advance_position(self, index: int, min_offset: int) -> bool:
-        self._check_index(index)
-        if index < self.left.arity:
-            return self.left.advance_position(index, min_offset)
-        return self.right.advance_position(index - self.left.arity, min_offset)
-
-    def position(self, index: int) -> Position:
-        self._check_index(index)
-        if index < self.left.arity:
-            return self.left.position(index)
-        return self.right.position(index - self.left.arity)
-
-
-class SelectOperator(PlanOperator):
-    """Predicate selection driven by positive-predicate advance hints
-    (paper, Algorithm 2)."""
-
-    def __init__(
-        self,
-        operand: PlanOperator,
-        predicate: Predicate,
-        attr_indices: Sequence[int],
-        constants: Sequence[object] = (),
-    ) -> None:
-        self.operand = operand
-        self.predicate = predicate
-        self.attr_indices = tuple(attr_indices)
-        self.constants = tuple(constants)
-        self.arity = operand.arity
-        for idx in self.attr_indices:
-            if not 0 <= idx < self.arity:
-                raise EvaluationError(
-                    f"selection attribute {idx} out of range for arity {self.arity}"
-                )
-
-    def advance_node(self) -> int | None:
-        node = self.operand.advance_node()
-        while node is not None and not self._advance_until_satisfied():
-            node = self.operand.advance_node()
-        return node
-
-    def current_node(self) -> int | None:
-        return self.operand.current_node()
-
-    def advance_position(self, index: int, min_offset: int) -> bool:
-        if not 0 <= index < self.arity:
-            self._check_index(index)
-        if not self.operand.advance_position(index, min_offset):
-            return False
-        return self._advance_until_satisfied()
-
-    def position(self, index: int) -> Position:
-        return self.operand.position(index)
-
-    # ------------------------------------------------------------- internals
-    def _advance_until_satisfied(self) -> bool:
-        """Advance the input until the predicate holds (single forward scan)."""
-        position = self.operand.position
-        advance_position = self.operand.advance_position
-        holds = self.predicate.holds
-        advance_hints = self.predicate.advance_hints
-        attr_indices = self.attr_indices
-        constants = self.constants
-        while True:
-            current = [position(idx) for idx in attr_indices]
-            if holds(current, constants):
-                return True
-            for local_index, target in advance_hints(current, constants).items():
-                if target > current[local_index].offset:
-                    if not advance_position(attr_indices[local_index], target):
-                        return False
-                    break
-            else:
-                raise EvaluationError(
-                    f"predicate {self.predicate.name!r} produced no progressing "
-                    "advance hint; it does not satisfy the positive-predicate "
-                    "property"
-                )
-
-
-class ProjectOperator(PlanOperator):
-    """Projection (paper, Algorithm 3).  ``keep`` lists the attributes retained.
-
-    The common use in query plans is the final projection to ``CNode`` only
-    (``keep = ()``), for which only node-level iteration is needed.
-    """
-
-    def __init__(self, operand: PlanOperator, keep: Sequence[int] = ()) -> None:
-        self.operand = operand
-        self.keep = tuple(keep)
-        for idx in self.keep:
-            if not 0 <= idx < operand.arity:
-                raise EvaluationError(
-                    f"projection attribute {idx} out of range for arity "
-                    f"{operand.arity}"
-                )
-        self.arity = len(self.keep)
-
-    def advance_node(self) -> int | None:
-        return self.operand.advance_node()
-
-    def current_node(self) -> int | None:
-        return self.operand.current_node()
-
-    def advance_position(self, index: int, min_offset: int) -> bool:
-        self._check_index(index)
-        return self.operand.advance_position(self.keep[index], min_offset)
-
-    def position(self, index: int) -> Position:
-        self._check_index(index)
-        return self.operand.position(self.keep[index])
-
 
 class NodeUnionOperator(PlanOperator):
     """Node-level union of two closed subplans (paper, Algorithm 4).
 
-    Both inputs must already be node-level (arity 0); each node id is
-    produced exactly once, in ascending order.
+    Each node id is produced exactly once, in ascending order.
     """
 
-    arity = 0
-
     def __init__(self, left: PlanOperator, right: PlanOperator) -> None:
-        if left.arity != 0 or right.arity != 0:
-            raise EvaluationError("node-level union requires arity-0 inputs")
         self.left = left
         self.right = right
         self._left_node: int | None = None
@@ -344,21 +202,11 @@ class NodeUnionOperator(PlanOperator):
     def current_node(self) -> int | None:
         return self._node
 
-    def advance_position(self, index: int, min_offset: int) -> bool:
-        raise EvaluationError("node-level union supports node iteration only")
-
-    def position(self, index: int) -> Position:
-        raise EvaluationError("node-level union has no position attributes")
-
 
 class NodeDifferenceOperator(PlanOperator):
     """Node-level set difference (paper, Algorithm 5): left nodes not in right."""
 
-    arity = 0
-
     def __init__(self, left: PlanOperator, right: PlanOperator) -> None:
-        if right.arity != 0:
-            raise EvaluationError("node-level difference requires an arity-0 right input")
         self.left = left
         self.right = right
         self._right_node: int | None = None
@@ -383,12 +231,6 @@ class NodeDifferenceOperator(PlanOperator):
     def current_node(self) -> int | None:
         return self._node
 
-    def advance_position(self, index: int, min_offset: int) -> bool:
-        raise EvaluationError("node-level difference supports node iteration only")
-
-    def position(self, index: int) -> Position:
-        raise EvaluationError("node-level difference has no position attributes")
-
 
 class ZigZagJoinOperator(PlanOperator):
     """N-ary zig-zag (leapfrog) node merge over seek-capable inputs.
@@ -399,9 +241,7 @@ class ZigZagJoinOperator(PlanOperator):
     :meth:`PlanOperator.advance_node_to` -- a galloping seek when the input
     is a fast-mode :class:`ScanOperator`.  ``merge_order`` fixes the order in
     which inputs are visited (rarest list first pays off: the rarest input
-    generates candidates, so the common inputs only ever seek); attribute
-    indices are *not* affected by it -- they follow the input order, exactly
-    as in a left-deep join chain.
+    generates candidates, so the common inputs only ever seek).
     """
 
     def __init__(
@@ -412,7 +252,6 @@ class ZigZagJoinOperator(PlanOperator):
         if not inputs:
             raise EvaluationError("a zig-zag join needs at least one input")
         self.inputs = list(inputs)
-        self.arity = sum(op.arity for op in self.inputs)
         order = (
             list(merge_order)
             if merge_order is not None
@@ -424,10 +263,6 @@ class ZigZagJoinOperator(PlanOperator):
                 f"{len(self.inputs)} inputs"
             )
         self._ordered = [self.inputs[index] for index in order]
-        #: Global attribute index -> (input operator, its local index).
-        self._slots = [
-            (op, local) for op in self.inputs for local in range(op.arity)
-        ]
         self._node: int | None = None
 
     def advance_node(self) -> int | None:
@@ -457,17 +292,158 @@ class ZigZagJoinOperator(PlanOperator):
     def current_node(self) -> int | None:
         return self._node
 
-    def advance_position(self, index: int, min_offset: int) -> bool:
-        if not 0 <= index < self.arity:
-            self._check_index(index)
-        operator, local = self._slots[index]
-        return operator.advance_position(local, min_offset)
 
-    def position(self, index: int) -> Position:
-        if not 0 <= index < self.arity:
-            self._check_index(index)
-        operator, local = self._slots[index]
-        return operator.position(local)
+class BoundPredicate(NamedTuple):
+    """A predicate applied to scans of a block (by scan index), with constants."""
+
+    predicate: Predicate
+    attr_indices: tuple[int, ...]
+    constants: tuple = ()
+
+
+class BlockOperator(PlanOperator):
+    """One conjunctive block: a node merge, then predicate trials per node.
+
+    ``merge`` aligns the block's inputs -- its token ``scans`` and any closed
+    conjuncts -- on common nodes; the operator reads positions from the
+    scans directly.  On each merged node it runs one *trial* per ordering
+    and returns the node once a trial finds positions satisfying every
+    predicate: the selections and the final projection to CNode of the
+    paper's Figure 4 (Algorithms 2–3), fused into one loop.
+
+    An ordering lists scan indices whose positions one of NPRED's threads
+    keeps non-decreasing (``p_{i1} <= p_{i2} <= ...``, Section 5.6); it must
+    cover every scan of a negative predicate, and scans outside it are
+    unconstrained.  PPRED passes the one empty ordering ``[()]``.  Several
+    orderings run in lock-step on one merge, so the answer is the union of
+    the per-ordering answers for the cursor work of one merge.  Trials move
+    only position pointers, never cursors.
+    """
+
+    def __init__(
+        self,
+        scans: Sequence[ScanOperator],
+        predicates: Sequence[BoundPredicate],
+        orderings: Sequence[Sequence[int]],
+        merge: PlanOperator,
+    ) -> None:
+        if not scans:
+            raise EvaluationError("a block operator needs at least one token scan")
+        for bound in predicates:
+            if not all(0 <= attr < len(scans) for attr in bound.attr_indices):
+                raise EvaluationError(
+                    f"predicate {bound.predicate.name!r} binds scan indices "
+                    f"{bound.attr_indices!r}; the block has {len(scans)} scans"
+                )
+        negative_attrs = {
+            attr
+            for bound in predicates
+            if bound.predicate.polarity is Polarity.NEGATIVE
+            for attr in bound.attr_indices
+        }
+        self.scans = list(scans)
+        self.merge = merge
+        #: One ``(ordered pairs, checks)`` trial per ordering: consecutive
+        #: ``(earlier, later)`` scans, and per predicate ``(predicate,
+        #: holds, its scans, constants, mover)`` where ``mover`` is the
+        #: local index a negative predicate advances (``None``: positive).
+        self._trials: list[tuple[list, list]] = []
+        for ordering in orderings:
+            covered = set(ordering)
+            if len(covered) < len(ordering) or not (
+                negative_attrs <= covered <= set(range(len(self.scans)))
+            ):
+                raise EvaluationError(
+                    f"ordering {ordering!r} must list distinct scan indices "
+                    "covering every scan of a negative predicate"
+                )
+            ordered = [self.scans[attr] for attr in ordering]
+            rank = {attr: slot for slot, attr in enumerate(ordering)}
+            checks = [self._check(bound, rank) for bound in predicates]
+            self._trials.append((list(zip(ordered, ordered[1:])), checks))
+        self._node: int | None = None
+
+    def _check(self, bound: BoundPredicate, rank: dict[int, int]) -> tuple:
+        predicate = bound.predicate
+        attrs = bound.attr_indices
+        mover = None
+        if predicate.polarity is Polarity.NEGATIVE:
+            # Algorithm 7: only "extending the gap" can make a negative
+            # predicate true, so move the scan latest under the ordering.
+            mover = max(range(len(attrs)), key=lambda local: rank[attrs[local]])
+        scans = tuple(self.scans[attr] for attr in attrs)
+        return predicate, predicate.holds, scans, tuple(bound.constants), mover
+
+    # ------------------------------------------------------------------ API
+    def advance_node(self) -> int | None:
+        advance = self.merge.advance_node
+        node = advance()
+        while node is not None and not self._any_trial_succeeds():
+            node = advance()
+        self._node = node
+        return node
+
+    def current_node(self) -> int | None:
+        return self._node
+
+    # ------------------------------------------------------------- internals
+    def _any_trial_succeeds(self) -> bool:
+        """Run the orderings on the merged node in turn.
+
+        The merge has just left every scan on its node's first position, so
+        the first trial starts there; every later one first rewinds the
+        position pointers that the trials before it moved.
+        """
+        for trial, (pairs, checks) in enumerate(self._trials):
+            if trial:
+                for scan in self.scans:
+                    scan.rewind_positions()
+            if (not pairs or _enforce_order(pairs)) and _satisfy(pairs, checks):
+                return True
+        return False
+
+
+def _enforce_order(pairs) -> bool:
+    """Restore an ordering's invariant ``p_{i1} <= ... <= p_{ik}``."""
+    for earlier, later in pairs:
+        previous = earlier.position().offset
+        if later.position().offset < previous:
+            if not later.advance_position(previous):
+                return False
+    return True
+
+
+def _satisfy(pairs, checks) -> bool:
+    """Advance the scans' positions until every predicate holds.
+
+    Each failing predicate moves one scan (Algorithm 2's advance hint for a
+    positive predicate, Algorithm 7's target for a negative one), then the
+    ordering is restored and the predicates are checked again.
+    """
+    while True:
+        for predicate, holds, scans, constants, mover in checks:
+            current = [scan.position() for scan in scans]
+            if not holds(current, constants):
+                break
+        else:
+            return True
+        if mover is None:
+            for local, target in predicate.advance_hints(current, constants).items():
+                if target > current[local].offset:
+                    break
+            else:
+                raise EvaluationError(
+                    f"predicate {predicate.name!r} produced no progressing "
+                    "advance hint; it does not satisfy the positive-predicate "
+                    "property"
+                )
+        else:
+            local = mover
+            target = predicate.advance_target(current, constants, mover)
+        if not scans[local].advance_position(target):
+            return False
+        if pairs and not _enforce_order(pairs):
+            return False
 
 
 def rarest_first_order(inputs: Sequence[PlanOperator]) -> list[int]:
@@ -546,7 +522,7 @@ def collect_nodes(
     the top-k pushdown uses to score-and-prune candidates *while* the cursor
     merge is still running, instead of in a second pass over the finished
     list.  Pass it only when every produced node is a final result (the
-    PPRED root operator); intermediate merges must not observe.
+    root operator); intermediate merges must not observe.
     """
     result: list[int] = []
     node = operator.advance_node()

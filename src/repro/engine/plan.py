@@ -14,9 +14,10 @@ and :class:`IntersectPlan` nodes -- and reports *why* a query falls outside
 the supported shape via :class:`~repro.exceptions.UnsupportedQueryError`
 (the executor then falls back to the naive COMP engine).
 
-The mapping from a block plan to operator trees (Figure 4 of the paper) is
-done by the engines themselves, because PPRED and NPRED build different
-operators for the same block.
+The mapping from a plan to an operator tree (Figure 4 of the paper) is
+:class:`~repro.engine.ppred_engine.PPredEngine`'s builder, which the NPRED
+engine inherits: both build the same operators for a block, and NPRED only
+adds the cursor orderings its block operator tries on each node.
 """
 
 from __future__ import annotations

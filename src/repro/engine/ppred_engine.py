@@ -4,10 +4,13 @@ PPRED queries -- positive predicates only, negation restricted to closed
 subqueries -- are evaluated in a *single* forward scan over the query-token
 inverted lists.  The engine turns the extracted plan
 (:mod:`repro.engine.plan`) into a tree of pipelined operators
-(:mod:`repro.engine.operators`): one :class:`ScanOperator` per token binding,
-a left-deep chain of :class:`JoinOperator`, one :class:`SelectOperator` per
-predicate, and a final projection to CNode, exactly as in Figure 4 of the
-paper.  Closed OR/AND-NOT subqueries become node-level union / difference.
+(:mod:`repro.engine.operators`): per conjunctive block one
+:class:`ScanOperator` per token binding, a node merge of the scans and the
+closed conjuncts (the left-deep :class:`JoinOperator` chain of Figure 4 of
+the paper), and one :class:`BlockOperator` that applies the predicates and
+projects to CNode.  Closed OR/AND-NOT subqueries become node-level union /
+difference.  The NPRED engine (:mod:`repro.engine.npred_engine`) builds the
+same tree and only adds cursor orderings to the blocks.
 
 Complexity: ``O(entries_per_token · pos_per_entry · toks_Q ·
 (preds_Q + ops_Q + 1))`` -- linear in the inverted-list data touched.
@@ -25,7 +28,6 @@ from repro.engine.plan import (
     BlockPlan,
     DifferencePlan,
     IntersectPlan,
-    PredicateSpec,
     UnionPlan,
     extract_plan,
     plan_polarities,
@@ -35,12 +37,14 @@ from repro.engine.plan import (
 class PPredEngine:
     """Single-scan evaluation of positive-predicate queries.
 
-    In ``"paper"`` access mode each conjunctive block is the left-deep chain
-    of pairwise :class:`~repro.engine.operators.JoinOperator` of the paper's
-    Figure 4, driven by sequential cursors.  In ``"fast"`` mode the block's
-    inputs are merged by one n-ary
-    :class:`~repro.engine.operators.ZigZagJoinOperator` over seek-capable
-    cursors, visiting the rarest inverted list first.
+    In ``"paper"`` access mode each conjunctive block merges its inputs by
+    the left-deep chain of pairwise
+    :class:`~repro.engine.operators.JoinOperator` of the paper's Figure 4,
+    driven by sequential cursors.  In ``"fast"`` mode the inputs are merged
+    by one n-ary :class:`~repro.engine.operators.ZigZagJoinOperator` over
+    seek-capable cursors, visiting the rarest inverted list first.  Either
+    merge feeds one :class:`~repro.engine.operators.BlockOperator`, which
+    checks the block's predicates on each merged node.
     """
 
     name = "ppred"
@@ -57,9 +61,9 @@ class PPredEngine:
         self.access_mode = check_access_mode(access_mode)
         #: Optional :class:`~repro.planner.physical.PhysicalPlan`.  Supplies
         #: the zig-zag merge order of a block's token scans (cheapest list
-        #: by document frequency leads); attribute numbering -- and with it
-        #: every predicate binding -- follows input order regardless, so the
-        #: plan can only redirect cursor traffic, never change results.
+        #: by document frequency leads); predicates bind to scans by binding
+        #: order regardless, so the plan can only redirect cursor traffic,
+        #: never change results.
         self.physical = physical
 
     # ------------------------------------------------------------------ API
@@ -116,17 +120,6 @@ class PPredEngine:
         raise UnsupportedQueryError(f"unknown plan node {type(plan).__name__}")
 
     def _build_block(self, block: BlockPlan, factory: CursorFactory) -> ops.PlanOperator:
-        tree = self._build_positive_part(block, factory)
-        tree = ops.ProjectOperator(tree, keep=())
-        for negated in block.negated:
-            tree = ops.NodeDifferenceOperator(
-                tree, self.build_operator(negated, factory)
-            )
-        return tree
-
-    def _build_positive_part(
-        self, block: BlockPlan, factory: CursorFactory
-    ) -> ops.PlanOperator:
         scans = [
             ops.ScanOperator(self.index.open_cursor(token, factory))
             for _, token in block.bindings
@@ -135,31 +128,45 @@ class PPredEngine:
             self.build_operator(conjunct, factory)
             for conjunct in block.closed_conjuncts
         ]
-        inputs: list[ops.PlanOperator] = scans + closed
+        tree = self._build_merge(block, scans, scans + closed)
+        if scans:
+            predicates = [
+                ops.BoundPredicate(
+                    self.registry.get(spec.name),
+                    tuple(block.attribute_of(var) for var in spec.variables),
+                    spec.constants,
+                )
+                for spec in block.predicates
+            ]
+            tree = ops.BlockOperator(
+                scans, predicates, self._orderings(block, predicates), tree
+            )
+        for negated in block.negated:
+            tree = ops.NodeDifferenceOperator(
+                tree, self.build_operator(negated, factory)
+            )
+        return tree
+
+    def _build_merge(
+        self,
+        block: BlockPlan,
+        scans: list[ops.ScanOperator],
+        inputs: list[ops.PlanOperator],
+    ) -> ops.PlanOperator:
         if not inputs:
             raise UnsupportedQueryError("empty conjunctive block")
-        tree: ops.PlanOperator
         if self.access_mode == FAST_MODE and len(inputs) > 1:
             # One n-ary zig-zag merge, rarest inverted list first (or the
             # planner's join order when the plan covers this block's
-            # tokens).  Input order (and with it the attribute
-            # numbering used by the predicate selections below) is unchanged.
+            # tokens).
             merge_order = self._planned_order(block, scans, inputs)
             if merge_order is None:
                 merge_order = ops.rarest_first_order(inputs)
-            tree = ops.ZigZagJoinOperator(inputs, merge_order=merge_order)
-        else:
-            chain: ops.PlanOperator | None = None
-            for operator in inputs:
-                chain = (
-                    operator
-                    if chain is None
-                    else ops.JoinOperator(chain, operator)
-                )
-            tree = chain
-        for spec in block.predicates:
-            tree = self._apply_predicate(tree, block, spec)
-        return tree
+            return ops.ZigZagJoinOperator(inputs, merge_order=merge_order)
+        chain = inputs[0]
+        for operator in inputs[1:]:
+            chain = ops.JoinOperator(chain, operator)
+        return chain
 
     def _planned_order(
         self,
@@ -182,12 +189,15 @@ class PPredEngine:
             return None
         return scan_order + list(range(len(scans), len(inputs)))
 
-    def _apply_predicate(
-        self, tree: ops.PlanOperator, block: BlockPlan, spec: PredicateSpec
-    ) -> ops.PlanOperator:
-        predicate = self.registry.get(spec.name)
-        attr_indices = [block.attribute_of(var) for var in spec.variables]
-        return ops.SelectOperator(tree, predicate, attr_indices, spec.constants)
+    def _orderings(
+        self, block: BlockPlan, predicates: list[ops.BoundPredicate]
+    ) -> list[tuple[int, ...]]:
+        """The cursor orderings a block tries per node.
+
+        PPRED's is the one empty ordering: no position order is enforced,
+        and each node gets a single trial.
+        """
+        return [()]
 
     # ------------------------------------------------------------- validation
     def _check_polarities(self, plan) -> None:

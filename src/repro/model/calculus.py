@@ -218,9 +218,11 @@ class CalculusEvaluator:
 
     This evaluator materialises nothing: it simply recurses over the formula
     while binding position variables to positions of the node under
-    evaluation.  It is intentionally straightforward (and therefore slow);
-    its purpose is to be a trusted oracle that every optimised engine is
-    checked against.
+    evaluation.  It is intentionally straightforward; its purpose is to be a
+    trusted oracle that every optimised engine is checked against.  Its one
+    shortcut is an equivalence of the calculus, not a second evaluator: an
+    ``EXISTS v`` whose body requires ``hasToken(v, t)`` ranges ``v`` over the
+    positions of ``t`` only (:meth:`_exists_domain`).
     """
 
     def __init__(self, registry: PredicateRegistry | None = None) -> None:
@@ -266,7 +268,7 @@ class CalculusEvaluator:
         self, expr: CalculusExpr, node: ContextNode, bindings: dict[str, Position]
     ) -> bool:
         if isinstance(expr, HasPos):
-            return self._bound(expr.var, bindings) in set(node.positions())
+            return node.has_position(self._bound(expr.var, bindings))
         if isinstance(expr, HasToken):
             position = self._bound(expr.var, bindings)
             return node.token_at(position) == expr.token
@@ -299,8 +301,11 @@ class CalculusEvaluator:
     ) -> bool:
         had_outer = expr.var in bindings
         outer_value = bindings.get(expr.var)
+        domain = (
+            self._exists_domain(expr, node) if existential else node.positions()
+        )
         try:
-            for position in node.positions():
+            for position in domain:
                 bindings[expr.var] = position
                 satisfied = self._eval(expr.operand, node, bindings)
                 if existential and satisfied:
@@ -313,6 +318,30 @@ class CalculusEvaluator:
                 bindings[expr.var] = outer_value  # type: ignore[assignment]
             else:
                 bindings.pop(expr.var, None)
+
+    @staticmethod
+    def _exists_domain(expr: Exists, node: ContextNode) -> Sequence[Position]:
+        """The positions ``EXISTS var`` has to try on ``node``.
+
+        ``∃v (hasToken(v, t) ∧ φ) ≡ ∃v ∈ Positions_t(n). φ``: when the body,
+        after its own ``EXISTS`` prefix, has a top-level conjunct
+        ``hasToken(var, t)`` that refers to this ``var`` (the prefix does not
+        rebind it), every other position falsifies the body, so only ``t``'s
+        positions are tried.  Any other shape ranges over ``Positions(n)``.
+        """
+        body = expr.operand
+        while isinstance(body, Exists):
+            if body.var == expr.var:
+                return node.positions()
+            body = body.operand
+        pending = [body]
+        while pending:
+            part = pending.pop()
+            if isinstance(part, And):
+                pending += (part.left, part.right)
+            elif isinstance(part, HasToken) and part.var == expr.var:
+                return node.positions_of(part.token)
+        return node.positions()
 
     @staticmethod
     def _bound(var: str, bindings: Mapping[str, Position]) -> Position:

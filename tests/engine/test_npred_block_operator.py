@@ -1,18 +1,28 @@
-"""Direct unit tests of the fused NPRED block operator."""
+"""Direct unit tests of the block operator (one merge, ordering trials per node)."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.corpus import Collection, ContextNode
-from repro.engine.npred_engine import NPredBlockOperator, _BoundPredicate
-from repro.engine.operators import ScanOperator, collect_nodes
+from repro.engine.operators import (
+    BlockOperator,
+    BoundPredicate,
+    JoinOperator,
+    NodeUnionOperator,
+    ScanOperator,
+    ZigZagJoinOperator,
+    collect_nodes,
+)
 from repro.exceptions import EvaluationError
 from repro.index import InvertedIndex
+from repro.index.cursor import FAST_MODE, PAPER_MODE, CursorFactory
 from repro.model.predicates import (
     DistancePredicate,
     NotDistancePredicate,
     OrderedPredicate,
+    Polarity,
+    Predicate,
 )
 
 
@@ -29,25 +39,27 @@ def index() -> InvertedIndex:
     return InvertedIndex(collection)
 
 
-def scans(index, *tokens):
-    return [ScanOperator(index.open_cursor(token)) for token in tokens]
+def block(index, predicates, orderings, tokens=("a", "b")) -> BlockOperator:
+    """A block over one scan per token, merged by a left-deep join chain."""
+    scans = [ScanOperator(index.open_cursor(token)) for token in tokens]
+    merge = scans[0]
+    for scan in scans[1:]:
+        merge = JoinOperator(merge, scan)
+    return BlockOperator(scans, predicates, orderings, merge)
 
 
-NOT_DISTANCE = [_BoundPredicate(NotDistancePredicate(), (0, 1), (3,))]
+NOT_DISTANCE = [BoundPredicate(NotDistancePredicate(), (0, 1), (3,))]
 
 
 def test_block_without_predicates_is_a_node_merge(index):
-    operator = NPredBlockOperator(scans(index, "a", "b"), [], orderings=[()])
-    assert collect_nodes(operator) == [0, 1, 2]
+    assert collect_nodes(block(index, [], [()])) == [0, 1, 2]
 
 
 def test_single_ordering_misses_the_other_direction(index):
     """Documents why several orderings are needed: one order finds only the
     solutions compatible with it."""
-    forward = NPredBlockOperator(scans(index, "a", "b"), NOT_DISTANCE, orderings=[(0, 1)])
-    backward = NPredBlockOperator(scans(index, "a", "b"), NOT_DISTANCE, orderings=[(1, 0)])
-    assert collect_nodes(forward) == [1]
-    assert collect_nodes(backward) == [2]
+    assert collect_nodes(block(index, NOT_DISTANCE, [(0, 1)])) == [1]
+    assert collect_nodes(block(index, NOT_DISTANCE, [(1, 0)])) == [2]
 
 
 def test_negative_predicate_with_both_orderings_covers_all_solutions(index):
@@ -55,43 +67,69 @@ def test_negative_predicate_with_both_orderings_covers_all_solutions(index):
     has moved b's position pointer past its last position: the second trial
     must start again from the node's first positions."""
     orderings = [(0, 1), (1, 0)]
-    shared = NPredBlockOperator(scans(index, "a", "b"), NOT_DISTANCE, orderings)
-    assert collect_nodes(shared) == [1, 2]
+    assert collect_nodes(block(index, NOT_DISTANCE, orderings)) == [1, 2]
     per_ordering = set()
     for ordering in orderings:
-        single = NPredBlockOperator(scans(index, "a", "b"), NOT_DISTANCE, [ordering])
-        per_ordering.update(collect_nodes(single))
+        per_ordering.update(collect_nodes(block(index, NOT_DISTANCE, [ordering])))
     assert sorted(per_ordering) == [1, 2]
 
 
 def test_positive_predicates_are_supported_inside_the_block(index):
     bound = [
-        _BoundPredicate(OrderedPredicate(), (0, 1), ()),
-        _BoundPredicate(DistancePredicate(), (0, 1), (0,)),
+        BoundPredicate(OrderedPredicate(), (0, 1), ()),
+        BoundPredicate(DistancePredicate(), (0, 1), (0,)),
     ]
-    operator = NPredBlockOperator(scans(index, "a", "b"), bound, orderings=[()])
-    assert collect_nodes(operator) == [0]
+    assert collect_nodes(block(index, bound, [()])) == [0]
+
+
+@pytest.mark.parametrize("mode", [PAPER_MODE, FAST_MODE])
+def test_merge_may_hold_closed_inputs_besides_the_scans(index, mode):
+    """The merge aligns node-level inputs the block does not read positions
+    from (a closed ``OR`` conjunct here), in either merge shape."""
+    factory = CursorFactory(mode=mode)
+    scans = [ScanOperator(index.open_cursor(token, factory)) for token in ("a", "b")]
+    closed = NodeUnionOperator(
+        ScanOperator(index.open_cursor("x", factory)),
+        ScanOperator(index.open_cursor("zzz", factory)),
+    )
+    merge = ZigZagJoinOperator(scans + [closed], merge_order=[1, 0, 2])
+    operator = BlockOperator(scans, NOT_DISTANCE, [(0, 1), (1, 0)], merge)
+    assert collect_nodes(operator) == [1, 2]
+
+
+class _StuckPredicate(Predicate):
+    """A positive predicate that never holds and never hints progress."""
+
+    name = "stuck"
+    polarity = Polarity.POSITIVE
+
+    def holds(self, positions, constants):
+        return False
+
+    def advance_hints(self, positions, constants):
+        return {0: positions[0].offset}
+
+
+def test_positive_predicate_without_progressing_hint_is_an_error(index):
+    """A hint that moves no scan would loop forever; the block reports it."""
+    stuck = block(index, [BoundPredicate(_StuckPredicate(), (0, 1))], [()])
+    with pytest.raises(EvaluationError, match="no progressing advance hint"):
+        collect_nodes(stuck)
 
 
 def test_constructor_validation(index):
+    scan = ScanOperator(index.open_cursor("a"))
     with pytest.raises(EvaluationError):
-        NPredBlockOperator([], [], orderings=[()])
+        BlockOperator([], [], [()], scan)
     with pytest.raises(EvaluationError):
-        NPredBlockOperator(scans(index, "a", "b"), [], orderings=[(0, 0)])
+        block(index, [], [(0, 0)])
     with pytest.raises(EvaluationError):
-        NPredBlockOperator(scans(index, "a", "b"), [], orderings=[(5,)])
+        block(index, [], [(5,)])
+    # A predicate must bind scans of the block.
+    with pytest.raises(EvaluationError):
+        block(index, [BoundPredicate(OrderedPredicate(), (0, 5))], [()])
     # A negative predicate must be covered by every ordering.
     with pytest.raises(EvaluationError):
-        NPredBlockOperator(scans(index, "a", "b"), NOT_DISTANCE, orderings=[(0,)])
+        block(index, NOT_DISTANCE, [(0,)])
     with pytest.raises(EvaluationError):
-        NPredBlockOperator(
-            scans(index, "a", "b"), NOT_DISTANCE, orderings=[(0, 1), (1,)]
-        )
-
-
-def test_block_is_node_level_only(index):
-    operator = NPredBlockOperator(scans(index, "a", "b"), [], orderings=[()])
-    with pytest.raises(EvaluationError):
-        operator.advance_position(0, 1)
-    with pytest.raises(EvaluationError):
-        operator.position(0)
+        block(index, NOT_DISTANCE, [(0, 1), (1,)])

@@ -6,13 +6,24 @@ import pytest
 
 from repro.corpus import Collection, ContextNode
 from repro.corpus.synthetic import generate_inex_like_collection
-from repro.engine.npred_engine import NPredBlockOperator, NPredEngine, _BoundPredicate
+import functools
+
+from repro.engine.npred_engine import NPredEngine
 from repro.engine.naive_engine import NaiveCompEngine
-from repro.engine.operators import ScanOperator, collect_nodes
+from repro.engine.operators import (
+    BlockOperator,
+    BoundPredicate,
+    NodeDifferenceOperator,
+    NodeUnionOperator,
+    ScanOperator,
+)
+from repro.engine.plan import BlockPlan, extract_plan
+from repro.engine.ppred_engine import PPredEngine
 from repro.exceptions import UnsupportedQueryError
 from repro.index import InvertedIndex
 from repro.index.cursor import FAST_MODE, PAPER_MODE
 from repro.languages.parser import LanguageLevel, QueryParser
+from repro.model.predicates import Polarity, default_registry
 
 _PARSER = QueryParser(LanguageLevel.COMP)
 
@@ -133,34 +144,53 @@ class PerOrderingEngine(NPredEngine):
     production block operator: every ordering merges the block on its own
     cursors, and the answers are unioned."""
 
-    def _evaluate_block(self, block, factory):
+    def _build_block(self, block, factory):
         bound = [
-            _BoundPredicate(
+            BoundPredicate(
                 self.registry.get(spec.name),
-                [block.attribute_of(var) for var in spec.variables],
+                tuple(block.attribute_of(var) for var in spec.variables),
                 spec.constants,
             )
             for spec in block.predicates
         ]
-        results = set()
-        for ordering in self._permutations(block, bound):
+        threads = []
+        for ordering in self._orderings(block, bound):
             scans = [
                 ScanOperator(self.index.open_cursor(token, factory))
                 for _, token in block.bindings
             ]
-            extra = [self._closed_operator(c, factory) for c in block.closed_conjuncts]
-            operator = NPredBlockOperator(scans, bound, [ordering], extra)
-            results.update(collect_nodes(operator))
+            closed = [self.build_operator(c, factory) for c in block.closed_conjuncts]
+            merge = self._build_merge(block, scans, scans + closed)
+            threads.append(BlockOperator(scans, bound, [ordering], merge))
+        tree = functools.reduce(NodeUnionOperator, threads)
         for negated in block.negated:
-            results -= self._evaluate_plan(negated, factory)
-        return results
+            tree = NodeDifferenceOperator(tree, self.build_operator(negated, factory))
+        return tree
+
+
+def without_negative_predicates(plan: BlockPlan) -> BlockPlan:
+    registry = default_registry()
+    return BlockPlan(
+        bindings=plan.bindings,
+        predicates=[
+            spec
+            for spec in plan.predicates
+            if registry.polarity_of(spec.name) is not Polarity.NEGATIVE
+        ],
+        negated=plan.negated,
+        closed_conjuncts=plan.closed_conjuncts,
+    )
 
 
 @pytest.mark.parametrize("mode", [PAPER_MODE, FAST_MODE])
 def test_all_orders_and_minimal_orders_agree(index, inex_index, mode):
     """Both order sets give the same answer for the same cursor work (one
     merge per block), and that answer is the union of the per-ordering
-    threads, whose cursor work bounds the shared merge's from above."""
+    threads, whose cursor work bounds the shared merge's from above.
+
+    The orderings move only position pointers, so on a single block without
+    ``AND NOT`` the cursor work is exactly that of the same block with its
+    negative predicates removed -- PPRED's work for that block."""
     cases = [(inex_index, text) for text in ORDERS_QUERIES] + [
         (index, NOT_DISTANCE_QUERY),
         (index, "SOME p1 SOME p2 (p1 HAS 'a' AND p2 HAS 'b' AND not_ordered(p1, p2))"),
@@ -170,6 +200,7 @@ def test_all_orders_and_minimal_orders_agree(index, inex_index, mode):
             "AND not_distance(p1, p2, 2) AND ordered(p1, p3))",
         ),
     ]
+    single_blocks = 0
     for case_index, text in cases:
         query = _PARSER.parse_closed(text)
         runs = {}
@@ -186,6 +217,16 @@ def test_all_orders_and_minimal_orders_agree(index, inex_index, mode):
             assert all(
                 shared_stats[name] <= count for name, count in thread_stats.items()
             ), text
+        plan = extract_plan(query)
+        if isinstance(plan, BlockPlan) and not plan.negated:
+            single_blocks += 1
+            stripped = without_negative_predicates(plan)
+            for engine_class in (NPredEngine, PPredEngine):
+                engine = engine_class(case_index, access_mode=mode)
+                _, stats = engine.evaluate_with_stats(query, plan=stripped)
+                assert stats.as_extended_dict() == shared_stats, text
+    # Three-variable blocks, a closed OR conjunct and two-variable blocks.
+    assert single_blocks == 6
 
 
 def test_agrees_with_naive_comp_engine(index):

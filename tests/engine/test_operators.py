@@ -1,4 +1,8 @@
-"""Tests for the pipelined plan operators (Algorithms 1-5)."""
+"""Tests for the pipelined plan operators (Algorithms 1-5).
+
+Selection and projection (Algorithms 2-3) run fused in the block operator;
+its ordering trials are tested in ``test_npred_block_operator.py``.
+"""
 
 from __future__ import annotations
 
@@ -8,12 +12,12 @@ from repro.corpus import Collection, ContextNode
 from repro.exceptions import EvaluationError
 from repro.index import InvertedIndex
 from repro.engine.operators import (
+    BlockOperator,
+    BoundPredicate,
     JoinOperator,
     NodeDifferenceOperator,
     NodeUnionOperator,
-    ProjectOperator,
     ScanOperator,
-    SelectOperator,
     collect_nodes,
 )
 from repro.model.predicates import DistancePredicate, OrderedPredicate
@@ -43,12 +47,12 @@ def scan(index: InvertedIndex, token: str) -> ScanOperator:
 def test_scan_iterates_nodes_and_positions(index):
     operator = scan(index, "a")
     assert operator.advance_node() == 0
-    assert operator.position(0).offset == 0
-    assert operator.advance_position(0, 1)
-    assert operator.position(0).offset == 4
-    assert not operator.advance_position(0, 5)
+    assert operator.position().offset == 0
+    assert operator.advance_position(1)
+    assert operator.position().offset == 4
+    assert not operator.advance_position(5)
     assert operator.advance_node() == 2
-    assert operator.position(0).offset == 0
+    assert operator.position().offset == 0
     assert operator.advance_node() == 4
     assert operator.advance_node() is None
 
@@ -56,19 +60,19 @@ def test_scan_iterates_nodes_and_positions(index):
 def test_scan_advance_position_is_inclusive(index):
     operator = scan(index, "a")
     operator.advance_node()
-    assert operator.advance_position(0, 4)
-    assert operator.position(0).offset == 4
+    assert operator.advance_position(4)
+    assert operator.position().offset == 4
     # already at >= 4: no movement needed
-    assert operator.advance_position(0, 4)
-    assert operator.position(0).offset == 4
+    assert operator.advance_position(4)
+    assert operator.position().offset == 4
+    operator.rewind_positions()
+    assert operator.position().offset == 0
 
 
 def test_scan_position_errors_when_not_positioned(index):
     operator = scan(index, "a")
     with pytest.raises(EvaluationError):
-        operator.position(0)
-    with pytest.raises(EvaluationError):
-        operator.position(1)
+        operator.position()
 
 
 def test_scan_of_missing_token_is_empty(index):
@@ -85,21 +89,25 @@ def test_join_merges_on_node_ids(index):
     assert collect_nodes(join) == [0, 2]
 
 
-def test_join_positions_dispatch_to_inputs(index):
-    join = JoinOperator(scan(index, "a"), scan(index, "b"))
+def test_join_leaves_its_scans_on_the_nodes_first_positions(index):
+    """The block operator's first trial relies on this: no rewind needed."""
+    left, right = scan(index, "a"), scan(index, "b")
+    join = JoinOperator(left, right)
     assert join.advance_node() == 0
-    assert join.position(0).offset == 0  # first 'a' of node 0
-    assert join.position(1).offset == 2  # first (and only) 'b' of node 0
-    assert join.advance_position(0, 1)   # move the left input forward
-    assert join.position(0).offset == 4
-    assert join.position(1).offset == 2  # the right input is untouched
+    assert left.position().offset == 0
+    assert right.position().offset == 2
+    assert left.advance_position(1)
+    assert join.advance_node() == 2
+    assert left.position().offset == 0
+    assert right.position().offset == 4
 
 
 def test_join_advance_position_failure_is_reported(index):
-    join = JoinOperator(scan(index, "a"), scan(index, "b"))
+    left, right = scan(index, "a"), scan(index, "b")
+    join = JoinOperator(left, right)
     join.advance_node()
-    assert not join.advance_position(1, 3)  # 'b' has no position >= 3 in node 0
-    assert join.advance_position(0, 4)      # 'a' does have offset 4
+    assert not right.advance_position(3)  # 'b' has no position >= 3 in node 0
+    assert left.advance_position(4)       # 'a' does have offset 4
 
 
 def test_join_with_empty_side_is_empty(index):
@@ -107,92 +115,83 @@ def test_join_with_empty_side_is_empty(index):
     assert collect_nodes(join) == []
 
 
-def test_nested_joins_accumulate_arity(index):
+def test_nested_joins_merge_every_input(index):
     join = JoinOperator(
         JoinOperator(scan(index, "a"), scan(index, "b")), scan(index, "x")
     )
-    assert join.arity == 3
     assert collect_nodes(join) == [0]
 
 
 # --------------------------------------------------------------------------
-# Select
+# Select / project (fused in the block operator)
 # --------------------------------------------------------------------------
+def block(index, tokens, predicates) -> BlockOperator:
+    """PPRED's shape: a left-deep join of the token scans, one empty ordering."""
+    scans = [scan(index, token) for token in tokens]
+    merge = scans[0]
+    for right in scans[1:]:
+        merge = JoinOperator(merge, right)
+    return BlockOperator(scans, predicates, [()], merge)
+
+
 def test_select_with_distance_predicate(index):
-    join = JoinOperator(scan(index, "a"), scan(index, "b"))
-    select = SelectOperator(join, DistancePredicate(), [0, 1], [1])
+    select = block(index, ("a", "b"), [BoundPredicate(DistancePredicate(), (0, 1), (1,))])
     # node 0: a@0,b@2 -> 1 intervening token -> ok.
     # node 2: a@0,b@4 -> 3 intervening tokens -> fails.
     assert collect_nodes(select) == [0]
 
 
 def test_select_with_ordered_predicate(index):
-    join = JoinOperator(scan(index, "b"), scan(index, "a"))
-    select = SelectOperator(join, OrderedPredicate(), [0, 1])
+    select = block(index, ("b", "a"), [BoundPredicate(OrderedPredicate(), (0, 1))])
     # node 0: b@2 before a@4 -> ok; node 2: b@4 after every a -> fails.
     assert collect_nodes(select) == [0]
 
 
 def test_stacked_selects_pipeline_correctly(index):
-    join = JoinOperator(scan(index, "a"), scan(index, "b"))
-    ordered = SelectOperator(join, OrderedPredicate(), [0, 1])
-    close = SelectOperator(ordered, DistancePredicate(), [0, 1], [1])
+    close = block(
+        index,
+        ("a", "b"),
+        [
+            BoundPredicate(OrderedPredicate(), (0, 1)),
+            BoundPredicate(DistancePredicate(), (0, 1), (1,)),
+        ],
+    )
     assert collect_nodes(close) == [0]
 
 
 def test_select_attribute_validation(index):
-    join = JoinOperator(scan(index, "a"), scan(index, "b"))
     with pytest.raises(EvaluationError):
-        SelectOperator(join, OrderedPredicate(), [0, 5])
+        block(index, ("a", "b"), [BoundPredicate(OrderedPredicate(), (0, 5))])
+    with pytest.raises(EvaluationError):
+        block(index, ("a", "b"), [BoundPredicate(OrderedPredicate(), (-1, 0))])
 
 
-# --------------------------------------------------------------------------
-# Project / union / difference
-# --------------------------------------------------------------------------
 def test_project_to_node_level(index):
-    join = JoinOperator(scan(index, "a"), scan(index, "b"))
-    project = ProjectOperator(join, keep=())
-    assert project.arity == 0
+    """Without predicates the block projects the merge to node ids, each
+    once, even when more than one ordering trial would succeed."""
+    scans = [scan(index, token) for token in ("a", "b")]
+    project = BlockOperator(scans, [], [(0, 1), (1, 0)], JoinOperator(*scans))
     assert collect_nodes(project) == [0, 2]
-    with pytest.raises(EvaluationError):
-        project.position(0)
 
 
-def test_project_keeps_selected_attribute(index):
-    join = JoinOperator(scan(index, "a"), scan(index, "b"))
-    project = ProjectOperator(join, keep=(1,))
-    assert project.advance_node() == 0
-    assert project.position(0).offset == 2  # the 'b' position
-
-
+# --------------------------------------------------------------------------
+# Union / difference
+# --------------------------------------------------------------------------
 def test_node_union(index):
-    union = NodeUnionOperator(
-        ProjectOperator(scan(index, "a"), ()), ProjectOperator(scan(index, "c"), ())
-    )
+    union = NodeUnionOperator(scan(index, "a"), scan(index, "c"))
     assert collect_nodes(union) == [0, 2, 3, 4]
 
 
 def test_node_union_deduplicates_common_nodes(index):
-    union = NodeUnionOperator(
-        ProjectOperator(scan(index, "a"), ()), ProjectOperator(scan(index, "b"), ())
-    )
+    union = NodeUnionOperator(scan(index, "a"), scan(index, "b"))
     assert collect_nodes(union) == [0, 1, 2, 4]
 
 
-def test_node_union_requires_node_level_inputs(index):
-    with pytest.raises(EvaluationError):
-        NodeUnionOperator(scan(index, "a"), ProjectOperator(scan(index, "b"), ()))
-
-
 def test_node_difference(index):
-    difference = NodeDifferenceOperator(
-        ProjectOperator(scan(index, "a"), ()), ProjectOperator(scan(index, "b"), ())
-    )
+    difference = NodeDifferenceOperator(scan(index, "a"), scan(index, "b"))
     assert collect_nodes(difference) == [4]
 
 
 def test_node_difference_with_empty_right_side(index):
-    difference = NodeDifferenceOperator(
-        ProjectOperator(scan(index, "a"), ()), ProjectOperator(scan(index, "zzz"), ())
-    )
+    difference = NodeDifferenceOperator(scan(index, "a"), scan(index, "zzz"))
     assert collect_nodes(difference) == [0, 2, 4]

@@ -162,12 +162,24 @@ def test_consistency_between_forced_engines_on_synthetic():
             seed=5,
         )
     )
-    engine = FullTextEngine.from_collection(collection)
-    query = "dist('alpha', 'beta', 8)"
-    auto = engine.search(query)
-    assert auto.engine == "ppred"
-    forced = {
-        name: engine.search(query, engine=name).node_ids
-        for name in ("ppred", "npred", "comp")
-    }
-    assert forced["ppred"] == forced["npred"] == forced["comp"] == sorted(auto.node_ids)
+    cases = [
+        (FullTextEngine.from_collection(collection), "dist('alpha', 'beta', 8)", "ppred"),
+        # A block with no token scan of its own: only closed OR conjuncts.
+        (
+            FullTextEngine.from_texts(
+                ["a b c e x y z", "a q q q q b c f", "d e a b", "c e"]
+            ),
+            "('c' OR 'd') AND ('e' OR 'f')",
+            "bool",
+        ),
+    ]
+    for engine, query, auto_engine in cases:
+        auto = engine.search(query)
+        assert auto.engine == auto_engine
+        forced = {
+            name: engine.search(query, engine=name).node_ids
+            for name in ("ppred", "npred", "comp")
+        }
+        assert forced["ppred"] == forced["npred"] == forced["comp"] == sorted(
+            auto.node_ids
+        ), query

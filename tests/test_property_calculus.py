@@ -10,7 +10,9 @@ universe and random small collections, then check:
 * negation normal form and universal-quantifier elimination preserve
   semantics;
 * the Theorem 4 BOOL construction agrees with the calculus on predicate-free
-  queries over the finite vocabulary.
+  queries over the finite vocabulary;
+* the evaluator's narrowed ``EXISTS`` domains equal the literal
+  ``Positions(n)^k`` loop over the full grammar.
 """
 
 from __future__ import annotations
@@ -170,3 +172,73 @@ def test_theorem4_bool_construction_agrees_with_the_calculus(collection, query):
     bool_query = calculus_to_bool(query, TOKENS)
     engine = BoolEngine(InvertedIndex(collection))
     assert engine.evaluate(bool_query) == reference
+
+
+class BruteCalculusEvaluator(CalculusEvaluator):
+    """The literal semantics: every quantifier ranges over ``Positions(n)``."""
+
+    def _eval_quantifier(self, expr, node, bindings, existential):
+        outer = dict(bindings)
+        try:
+            for position in node.positions():
+                bindings[expr.var] = position
+                if self._eval(expr.operand, node, bindings) == existential:
+                    return existential
+            return not existential
+        finally:
+            bindings.clear()
+            bindings.update(outer)
+
+
+PREDICATES = [
+    ("distance", 1), ("ordered", 0), ("samepara", 0), ("diffpos", 0),
+    ("not_distance", 1), ("not_ordered", 0),
+]
+
+
+@st.composite
+def formulas(draw, bound: tuple = (), depth: int = 3) -> c.CalculusExpr:
+    """Formulas over the full grammar whose free variables lie in ``bound``.
+
+    Quantifiers may rebind a variable already in scope, and a quantifier
+    body often joins a ``hasToken`` atom on some variable in scope by ``AND``
+    (the narrowed shape), ``OR`` or ``AND NOT`` (near misses that must keep
+    the full domain).
+    """
+    if depth == 0 or (bound and draw(st.integers(0, 3)) == 0):
+        if not bound:
+            var = draw(st.sampled_from(VARIABLES))
+            return c.Exists(var, c.HasToken(var, draw(st.sampled_from(TOKENS))))
+        var = draw(st.sampled_from(bound))
+        kind = draw(st.integers(0, 2))
+        if kind == 0:
+            return c.HasToken(var, draw(st.sampled_from(TOKENS)))
+        if kind == 1:
+            return c.HasPos(var)
+        name, constants = draw(st.sampled_from(PREDICATES))
+        other = draw(st.sampled_from(bound))
+        limit = tuple(draw(st.integers(0, 3)) for _ in range(constants))
+        return c.PredicateApplication(name, (var, other), limit)
+    kind = draw(st.sampled_from(["exists", "forall", "not", "and", "or"]))
+    if kind in ("exists", "forall"):
+        var = draw(st.sampled_from(VARIABLES))
+        scope = bound if var in bound else bound + (var,)
+        body = draw(formulas(scope, depth - 1))
+        if draw(st.booleans()):
+            token = c.HasToken(draw(st.sampled_from(scope)), draw(st.sampled_from(TOKENS)))
+            join = draw(st.sampled_from([c.And, c.Or, lambda a, b: c.And(c.Not(a), b)]))
+            body = join(token, body) if draw(st.booleans()) else join(body, token)
+        return (c.Exists if kind == "exists" else c.Forall)(var, body)
+    if kind == "not":
+        return c.Not(draw(formulas(bound, depth - 1)))
+    left, right = draw(formulas(bound, depth - 1)), draw(formulas(bound, depth - 1))
+    return c.And(left, right) if kind == "and" else c.Or(left, right)
+
+
+@settings(max_examples=300, deadline=None)
+@given(collections(), formulas())
+def test_narrowed_exists_domains_equal_the_brute_quantifier_loop(collection, expr):
+    query = CalculusQuery(expr)
+    assert CalculusEvaluator().evaluate_query(
+        query, collection
+    ) == BruteCalculusEvaluator().evaluate_query(query, collection)

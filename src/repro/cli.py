@@ -210,8 +210,9 @@ def build_argument_parser() -> argparse.ArgumentParser:
     serve_http_cmd.add_argument("--flush-threshold", type=int, default=None)
     serve_http_cmd.add_argument(
         "--max-batch", type=_positive_int, default=32,
-        help="largest micro-batch coalesced into one search_many call "
-        "(default: 32; 1 disables batching)",
+        help="most requests coalesced into one hop onto the engine thread, "
+        "each still answered by its own search (default: 32; 1 disables "
+        "batching)",
     )
     serve_http_cmd.add_argument(
         "--linger-ms", type=float, default=2.0,

@@ -40,7 +40,6 @@ threads must share it.
 from __future__ import annotations
 
 import time
-from typing import Sequence
 
 from repro.cluster.cache import DEFAULT_CACHE_SIZE, QueryCache, make_cache_key
 from repro.cluster.merge import MergedEvaluationResult, merge_shard_results
@@ -266,84 +265,6 @@ class ScatterGatherExecutor:
             top_k=top_k_info,
             plan=plan.describe() if plan is not None else None,
         )
-
-    def execute_many(
-        self,
-        queries: Sequence[ast.QueryNode],
-        engine: str = AUTO,
-        top_k: int | None = None,
-    ) -> list[MergedEvaluationResult]:
-        """Evaluate a batch, handing the *whole batch* to each shard in turn.
-
-        Each shard runs :meth:`Executor.execute_many` over every
-        not-yet-cached query, so the shard-local plan cache and cursor
-        factory are amortised across the batch.
-
-        When the cache is enabled, duplicated queries inside one batch are
-        also evaluated only once (they would hit the cache on a second call
-        anyway); with caching disabled every query is evaluated, matching
-        ``Executor.execute_many`` semantics exactly.
-        """
-        check_top_k(top_k)
-        generation = self._sync()
-        if self.cache is None:
-            return self._evaluate_batch(queries, engine, top_k)
-        keys = [self._cache_key(query, engine, generation) for query in queries]
-        answers: dict[int, MergedEvaluationResult] = {}
-        pending: list[int] = []
-        scheduled: dict[tuple, int] = {}
-        for position, key in enumerate(keys):
-            if key in scheduled:
-                # A duplicate of a query scheduled in this batch: served from
-                # the cache after execution (and counted as a hit there).
-                continue
-            cached = self._cache_get(key, top_k)
-            if cached is not None:
-                answers[position] = cached
-            else:
-                scheduled[key] = position
-                pending.append(position)
-        evaluated = self._evaluate_batch(
-            [queries[position] for position in pending], engine, top_k
-        )
-        for position, merged in zip(pending, evaluated):
-            self.cache.put(keys[position], merged)
-            answers[position] = self._detached(merged, from_cache=False)
-        # Duplicates of a scheduled query: now cache-resident, a real hit.
-        # (Unless the entry was already evicted by later puts of this very
-        # batch -- then hand out a detached copy of the first occurrence's
-        # result so no two positions alias one mutable object.)
-        for position, key in enumerate(keys):
-            if position not in answers:
-                hit = self._cache_get(key, top_k)
-                answers[position] = (
-                    hit
-                    if hit is not None
-                    else self._detached(answers[scheduled[key]], from_cache=False)
-                )
-        return [answers[position] for position in range(len(queries))]
-
-    def _evaluate_batch(
-        self,
-        batch: Sequence[ast.QueryNode],
-        engine: str,
-        top_k: int | None,
-    ) -> list[MergedEvaluationResult]:
-        """Plan every query once, run the batch on each shard, merge per query."""
-        if not batch:
-            return []
-        plans = [self._plan_for(query, engine) for query in batch]
-        per_shard_batches = self._scatter(
-            lambda executor: executor.execute_many(
-                batch, engine=engine, top_k=top_k, plans=plans
-            )
-        )
-        merged = []
-        for per_shard in zip(*per_shard_batches):
-            # The shards ran back to back, so one query took the sum.
-            elapsed = sum(result.elapsed_seconds for result in per_shard)
-            merged.append(merge_shard_results(list(per_shard), elapsed, top_k))
-        return merged
 
     def cache_stats(self) -> dict[str, float]:
         """Hit/miss statistics of the result cache (zeros when disabled)."""

@@ -324,7 +324,7 @@ class FullTextEngine:
         self.registry.register(predicate)
 
     def parse(self, text: str, language: str = "auto") -> Query:
-        """Parse and classify a query without evaluating it."""
+        """Parse a query without evaluating it (classified on first read)."""
         return parse_query(text, language, self.registry)
 
     def search(
@@ -372,30 +372,6 @@ class FullTextEngine:
             parsed.node, engine=engine, top_k=top_k, explain=explain, trace=trace,
         )
         return self._build_results(parsed, outcome, top_k)
-
-    def search_many(
-        self,
-        queries: Sequence["str | Query | ast.QueryNode"],
-        language: str = "auto",
-        engine: str = AUTO,
-        top_k: int | None = None,
-    ) -> list[SearchResults]:
-        """Run a batch of searches, amortising per-query setup.
-
-        All queries share one cursor factory and one parsed-plan cache (see
-        :meth:`repro.engine.executor.Executor.execute_many`), which matters
-        when serving many small queries against the same index: repeated
-        query shapes skip re-planning entirely.
-        """
-        check_top_k(top_k)
-        parsed_queries = [self._as_query(query, language) for query in queries]
-        outcomes = self._coordinator.execute_many(
-            [parsed.node for parsed in parsed_queries], engine=engine, top_k=top_k
-        )
-        return [
-            self._build_results(parsed, outcome, top_k)
-            for parsed, outcome in zip(parsed_queries, outcomes)
-        ]
 
     def evaluate(
         self,
@@ -458,14 +434,7 @@ class FullTextEngine:
         if isinstance(query, Query):
             return query
         if isinstance(query, ast.QueryNode):
-            from repro.languages.classify import classify_query
-
-            return Query(
-                text=query.to_text(),
-                language=language,
-                node=query,
-                language_class=classify_query(query, self.registry),
-            )
+            return Query(query.to_text(), language, query, self.registry)
         return parse_query(query, language, self.registry)
 
     def _build_results(

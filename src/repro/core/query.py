@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.exceptions import QuerySyntaxError
 from repro.languages import ast
@@ -22,12 +23,22 @@ LANGUAGE_LEVELS = {
 
 @dataclass
 class Query:
-    """A parsed, classified query ready for execution."""
+    """A parsed query ready for execution.
+
+    The language class is computed on first read, from the node and the
+    registry the query was parsed with: a search takes its class from the
+    evaluation outcome, so it never pays for classifying here as well.
+    """
 
     text: str
     language: str
     node: ast.QueryNode
-    language_class: LanguageClass
+    registry: PredicateRegistry = field(repr=False, compare=False)
+
+    @cached_property
+    def language_class(self) -> LanguageClass:
+        """The cheapest class of the hierarchy the query belongs to."""
+        return classify_query(self.node, self.registry)
 
     def to_calculus(self) -> CalculusQuery:
         """The calculus form of the query (Section 4 semantics)."""
@@ -53,12 +64,12 @@ def parse_query(
     language: str = "auto",
     registry: PredicateRegistry | None = None,
 ) -> Query:
-    """Parse ``text`` in the requested language and classify it.
+    """Parse ``text`` in the requested language.
 
     ``language`` is one of ``"bool"``, ``"dist"``, ``"comp"`` or ``"auto"``
     (the default): ``auto`` parses with the full COMP grammar, so any query of
-    any of the three languages is accepted, and the classifier then reports
-    the cheapest class the query belongs to.
+    any of the three languages is accepted, and ``language_class`` then
+    reports the cheapest class the query belongs to.
     """
     registry = registry or default_registry()
     try:
@@ -70,9 +81,4 @@ def parse_query(
         ) from exc
     parser = QueryParser(level, registry)
     node = parser.parse_closed(text)
-    return Query(
-        text=text,
-        language=language.lower(),
-        node=node,
-        language_class=classify_query(node, registry),
-    )
+    return Query(text, language.lower(), node, registry)

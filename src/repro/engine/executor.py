@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Sequence
 
 from repro.exceptions import UnsupportedQueryError
 from repro.index.cursor import PAPER_MODE, CursorFactory, CursorStats, check_access_mode
@@ -27,7 +26,6 @@ from repro.engine.npred_engine import NPredEngine
 from repro.engine.ppred_engine import PPredEngine
 from repro.engine.topk import TopKCollector, check_top_k
 from repro.planner import DEFAULT_OPTIMIZER, check_optimizer_mode
-from repro.planner.ir import canonical_key
 from repro.planner.optimizer import QueryPlanner
 from repro.planner.physical import PhysicalPlan
 from repro.telemetry import instruments
@@ -176,78 +174,6 @@ class Executor:
         again; when omitted, this executor's own planner produces one per
         its ``optimizer`` mode.  COMP runs without a plan.
         """
-        return self._execute(
-            query, engine, top_k=top_k, explain=explain, trace=trace, plan=plan
-        )
-
-    def execute_many(
-        self,
-        queries: Sequence[ast.QueryNode],
-        engine: str = AUTO,
-        top_k: int | None = None,
-        explain: bool = False,
-        trace=None,
-        plans: "Sequence[PhysicalPlan | None] | None" = None,
-    ) -> list[EvaluationResult]:
-        """Evaluate a batch of queries, amortising per-query setup.
-
-        One :class:`CursorFactory` is shared by the whole batch (each
-        result's ``cursor_stats`` reports only its own query's delta) and
-        extracted plans are cached by canonical query key, so a batch that
-        repeats query shapes -- including commuted variants of one shape --
-        skips re-planning.  ``top_k`` applies the pushdown of
-        :meth:`execute` to every query in the batch; ``explain``/``trace``
-        instrument each query exactly as in :meth:`execute`.  ``plans``
-        optionally supplies one precomputed physical plan (or ``None``) per
-        query, aligned by position.
-        """
-        check_top_k(top_k)
-        if plans is not None and len(plans) != len(queries):
-            raise ValueError(
-                f"got {len(plans)} plans for {len(queries)} queries"
-            )
-        factory = CursorFactory(mode=self.access_mode)
-        plan_cache: dict[tuple[str, str], object] = {}
-        results = []
-        snapshot = factory.checkpoint()
-        for position, query in enumerate(queries):
-            result = self._execute(
-                query, engine, factory, plan_cache, top_k,
-                explain=explain, trace=trace,
-                plan=plans[position] if plans is not None else None,
-            )
-            total = factory.checkpoint()
-            if result.cursor_stats is not None:
-                result.cursor_stats = total.delta_since(snapshot)
-            snapshot = total
-            results.append(result)
-        return results
-
-    # ------------------------------------------------------------- internals
-    def _current_index(self) -> InvertedIndex:
-        """The index view this query should evaluate against.
-
-        A live index (:class:`repro.segments.live_index.LiveIndex`) hands
-        out per-query snapshots: every cursor the query opens then reads one
-        consistent set of segments, no matter what concurrent writers do.
-        Static indexes are their own (trivially consistent) view.
-        """
-        snapshot = getattr(self.index, "snapshot", None)
-        if snapshot is not None:
-            return snapshot()
-        return self.index
-
-    def _execute(
-        self,
-        query: ast.QueryNode,
-        engine: str,
-        factory: CursorFactory | None = None,
-        plan_cache: dict | None = None,
-        top_k: int | None = None,
-        explain: bool = False,
-        trace=None,
-        plan: PhysicalPlan | None = None,
-    ) -> EvaluationResult:
         check_top_k(top_k)
         shipped = plan is not None
         if shipped:
@@ -269,16 +195,10 @@ class Executor:
             )
         effective_mode = plan.access_mode if plan is not None else self.access_mode
         collector = self._make_collector(query, top_k)
-        if factory is None and explain:
-            # Explain needs per-cursor visibility: inject a factory so the
-            # engine registers its cursors here instead of in a private one.
-            # Results are unaffected -- engines use a given factory verbatim.
-            factory = CursorFactory(mode=effective_mode)
-        if factory is not None:
-            # Cursors snapshot the mode when opened, so a per-query override
-            # on a shared batch factory only affects this query's cursors;
-            # restored below so later queries see the configured mode.
-            factory.mode = effective_mode
+        # Explain needs per-cursor visibility: inject a factory so the engine
+        # registers its cursors here instead of in a private one.  Results
+        # are unaffected -- engines use a given factory verbatim.
+        factory = CursorFactory(mode=effective_mode) if explain else None
         span = (
             trace.span("executor.execute", engine=engine_name)
             if trace is not None
@@ -286,31 +206,27 @@ class Executor:
         )
         started = time.perf_counter()
         try:
-            try:
-                node_ids, stats = self._run(
-                    index, query, engine_name, factory, plan_cache, collector,
-                    access_mode=effective_mode, physical=plan,
-                )
-            except UnsupportedQueryError:
-                # The classifier is intentionally syntactic; if a corner case
-                # slips past it (or a caller forced a pipelined engine onto a
-                # query it cannot plan), fall back to the always-applicable
-                # naive COMP engine rather than failing the search.  A
-                # partially fed collector is discarded with the failed
-                # attempt, and so is the physical plan -- COMP uses node
-                # scans, which the plan has nothing to say about.
-                if engine != AUTO and engine_name != "comp":
-                    raise
-                engine_name = "comp"
-                plan = None
-                collector = self._make_collector(query, top_k)
-                node_ids, stats = self._run(
-                    index, query, engine_name, factory, plan_cache, collector,
-                    access_mode=effective_mode, physical=None,
-                )
-        finally:
-            if factory is not None:
-                factory.mode = self.access_mode
+            node_ids, stats = self._run(
+                index, query, engine_name, factory, collector,
+                access_mode=effective_mode, physical=plan,
+            )
+        except UnsupportedQueryError:
+            # The classifier is intentionally syntactic; if a corner case
+            # slips past it (or a caller forced a pipelined engine onto a
+            # query it cannot plan), fall back to the always-applicable
+            # naive COMP engine rather than failing the search.  A partially
+            # fed collector is discarded with the failed attempt, and so is
+            # the physical plan -- COMP uses node scans, which the plan has
+            # nothing to say about.
+            if engine != AUTO and engine_name != "comp":
+                raise
+            engine_name = "comp"
+            plan = None
+            collector = self._make_collector(query, top_k)
+            node_ids, stats = self._run(
+                index, query, engine_name, factory, collector,
+                access_mode=effective_mode, physical=None,
+            )
         elapsed = time.perf_counter() - started
         if span is not None:
             span.annotate(rows=len(node_ids))
@@ -328,11 +244,12 @@ class Executor:
                 node_ids, factory, collector, top_k,
                 plan=plan, access_mode=effective_mode,
             )
-        self._observe(engine_name, elapsed, stats, factory, collector)
-        if plan is not None and not shipped and instruments.REGISTRY.enabled:
-            # Shipped plans are counted once by the coordinator that built
-            # them, not again by every shard that executes them.
-            instruments.PLANS_TOTAL.labels(plan.provenance).inc()
+        if instruments.REGISTRY.enabled:
+            instruments.observe_query(engine_name, elapsed, stats, collector)
+            if plan is not None and not shipped:
+                # Shipped plans are counted once by the coordinator that
+                # built them, not again by every shard that executes them.
+                instruments.PLANS_TOTAL.labels(plan.provenance).inc()
         return EvaluationResult(
             node_ids=node_ids,
             language_class=language_class,
@@ -345,6 +262,20 @@ class Executor:
             plan=plan.describe() if plan is not None else None,
             _ranked=ranked,
         )
+
+    # ------------------------------------------------------------- internals
+    def _current_index(self) -> InvertedIndex:
+        """The index view this query should evaluate against.
+
+        A live index (:class:`repro.segments.live_index.LiveIndex`) hands
+        out per-query snapshots: every cursor the query opens then reads one
+        consistent set of segments, no matter what concurrent writers do.
+        Static indexes are their own (trivially consistent) view.
+        """
+        snapshot = getattr(self.index, "snapshot", None)
+        if snapshot is not None:
+            return snapshot()
+        return self.index
 
     def _build_explain(
         self,
@@ -361,10 +292,9 @@ class Executor:
     ) -> dict:
         """Assemble the EXPLAIN ANALYZE payload for one finished execution.
 
-        Runs *before* any ``factory.checkpoint()``: the factory's open
-        cursors are exactly the ones this query opened (batch drivers
-        checkpoint between queries), so the per-operator rows sum to this
-        query's ``CursorStats`` delta -- the contract the explain tests pin.
+        The factory is this query's own, so its cursors are exactly the ones
+        this query opened and the per-operator rows sum to its
+        ``CursorStats`` -- the contract the explain tests pin.
         """
         from repro.telemetry.explain import build_explain, cursor_breakdown
 
@@ -396,30 +326,6 @@ class Executor:
             plan=plan.describe() if plan is not None else None,
         )
 
-    def _observe(
-        self,
-        engine_name: str,
-        elapsed: float,
-        stats: CursorStats | None,
-        factory: CursorFactory | None,
-        collector: TopKCollector | None,
-    ) -> None:
-        """Fold one query's counters into the metrics registry.
-
-        With a shared batch factory the engine-reported ``stats`` are
-        cumulative over the whole batch so far; the cursors this query
-        opened are still in ``_open_cursors`` (the batch driver checkpoints
-        *after* ``_execute`` returns), so their sum is the per-query delta.
-        """
-        if not instruments.REGISTRY.enabled:
-            return
-        per_query = stats
-        if stats is not None and factory is not None:
-            per_query = CursorStats()
-            for cursor in factory._open_cursors:
-                per_query.merge(cursor.stats)
-        instruments.observe_query(engine_name, elapsed, per_query, collector)
-
     def _make_collector(
         self,
         query: ast.QueryNode,
@@ -444,7 +350,6 @@ class Executor:
         query: ast.QueryNode,
         engine_name: str,
         factory: CursorFactory | None = None,
-        plan_cache: dict | None = None,
         collector: TopKCollector | None = None,
         access_mode: str | None = None,
         physical: PhysicalPlan | None = None,
@@ -462,17 +367,15 @@ class Executor:
             engine = PPredEngine(
                 index, self.registry, access_mode=mode, physical=physical
             )
-            plan = self._cached_plan(query, engine_name, plan_cache)
             return engine.evaluate_with_stats(
-                query, factory=factory, plan=plan, observer=observer
+                query, factory=factory, observer=observer
             )
         if engine_name == "npred":
             engine = NPredEngine(
                 index, self.registry, access_mode=mode, physical=physical
             )
-            plan = self._cached_plan(query, engine_name, plan_cache)
             return engine.evaluate_with_stats(
-                query, factory=factory, plan=plan, observer=observer
+                query, factory=factory, observer=observer
             )
         engine = NaiveCompEngine(index, self.registry)
         node_ids = engine.evaluate(query)
@@ -480,27 +383,6 @@ class Executor:
             for node_id in node_ids:
                 observer(node_id)
         return node_ids, None
-
-    def _cached_plan(
-        self, query: ast.QueryNode, engine_name: str, plan_cache: dict | None
-    ):
-        """Extract (or fetch from the batch cache) the pipelined plan.
-
-        Keyed by the *canonical* plan IR text, not the surface text, so
-        commuted-but-equivalent queries (``a AND b`` vs ``b AND a``) share
-        one cache entry.  The cached artifact is still extracted from the
-        query as written -- canonicalisation only names the slot.
-        """
-        if plan_cache is None:
-            return None
-        from repro.engine.plan import extract_plan
-
-        key = (engine_name, canonical_key(query))
-        plan = plan_cache.get(key)
-        if plan is None:
-            plan = extract_plan(query, self.registry)
-            plan_cache[key] = plan
-        return plan
 
     def _index_generation(self) -> "int | None":
         """The data version plans are costed at: the index's generation."""

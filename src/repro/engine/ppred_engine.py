@@ -80,9 +80,9 @@ class PPredEngine:
     ) -> tuple[list[int], CursorStats]:
         """Evaluate and also report how much inverted-list data was scanned.
 
-        ``factory`` and ``plan`` let a batch driver share one cursor factory
-        and reuse an extracted plan across calls (see
-        :meth:`repro.engine.executor.Executor.execute_many`).  ``observer``
+        ``factory`` lets a caller see every cursor the run opens (EXPLAIN
+        ANALYZE passes its own); ``plan`` supplies an already extracted
+        plan instead of extracting one from ``query``.  ``observer``
         sees every result node exactly once, streamed from the root operator
         while the single forward scan is still running -- each node the plan
         produces is final, so the top-k pushdown can score-and-prune it

@@ -105,16 +105,6 @@ class CursorStats:
         extended["seek_probes"] = self.seek_probes
         return extended
 
-    def delta_since(self, snapshot: "CursorStats") -> "CursorStats":
-        """The counters accumulated since ``snapshot`` was taken."""
-        return CursorStats(
-            self.next_entry_calls - snapshot.next_entry_calls,
-            self.get_positions_calls - snapshot.get_positions_calls,
-            self.positions_returned - snapshot.positions_returned,
-            self.seek_calls - snapshot.seek_calls,
-            self.seek_probes - snapshot.seek_probes,
-        )
-
     def copy(self) -> "CursorStats":
         """An independent snapshot of the current counters."""
         return CursorStats(
@@ -484,7 +474,6 @@ class CursorFactory:
     """
 
     mode: str = PAPER_MODE
-    aggregate: CursorStats = field(default_factory=CursorStats)
     _open_cursors: list[InvertedListCursor] = field(default_factory=list)
 
     def __post_init__(self) -> None:
@@ -503,7 +492,7 @@ class CursorFactory:
         The live-index snapshot layer builds :class:`MultiSegmentCursor`
         objects itself (they wrap several per-segment lists, not one posting
         list) and adopts them here so their charges appear in the factory's
-        aggregate exactly like directly-opened cursors.
+        totals exactly like directly-opened cursors.
         """
         self._open_cursors.append(cursor)
         return cursor
@@ -511,19 +500,6 @@ class CursorFactory:
     def collect_stats(self) -> CursorStats:
         """Aggregate statistics over every cursor opened through this factory."""
         total = CursorStats()
-        total.merge(self.aggregate)
         for cursor in self._open_cursors:
             total.merge(cursor.stats)
         return total
-
-    def checkpoint(self) -> CursorStats:
-        """Fold finished cursors into the aggregate and return the totals.
-
-        Batch drivers call this between queries so the per-query stats delta
-        stays O(cursors opened by that query) instead of walking every cursor
-        the factory ever opened.  The folded cursors must not be used again.
-        """
-        for cursor in self._open_cursors:
-            self.aggregate.merge(cursor.stats)
-        self._open_cursors.clear()
-        return self.aggregate.copy()

@@ -8,8 +8,8 @@ single dependency beyond the standard library:
   response writer over asyncio streams (keep-alive, ``Content-Length``
   framing, structured protocol errors);
 * :mod:`repro.server.batching` -- the micro-batching dispatcher coalescing
-  concurrent requests into single ``search_many`` calls on a dedicated
-  engine thread, preserving bit-identical per-request results;
+  concurrent requests into one hop onto a dedicated engine thread, where
+  each request is answered by its own ``engine.search``;
 * :mod:`repro.server.app`      -- :class:`~repro.server.app.QueryServer`
   itself: routing, deadlines, admission control, access logs, ``/health``
   + ``/stats``, and SIGTERM drain;

@@ -9,9 +9,9 @@
   segment / packed statistics).
 * **Micro-batching.**  Every search goes through the
   :class:`~repro.server.batching.BatchingDispatcher`: concurrent requests
-  coalesce into single ``search_many`` calls on a dedicated engine thread,
-  and each client gets back exactly what a direct ``engine.search`` with its
-  own ``top_k`` would have returned (ids, scores and order bit-identical).
+  coalesce into one hop onto a dedicated engine thread, where each one is
+  answered by its own ``engine.search`` (its ``top_k``, forced engine and
+  ``explain``), so every client gets exactly that call's results.
 * **Deadlines.**  Every request carries a deadline (``timeout_ms``,
   defaulting to :attr:`ServerConfig.default_timeout_ms`).  A request that
   cannot be answered in time receives a structured ``504`` JSON error --
@@ -80,8 +80,9 @@ class ServerConfig:
 
     host: str = "127.0.0.1"
     port: int = 8080
-    #: Micro-batching: largest ``search_many`` batch, and how long the
-    #: dispatcher lingers for stragglers after the first request arrives.
+    #: Micro-batching: most requests handed to the engine thread in one
+    #: hop, and how long the dispatcher lingers for stragglers after the
+    #: first request arrives.
     max_batch_size: int = 32
     max_linger_ms: float = 2.0
     #: Admission control: requests queued or executing before 429s start.

@@ -3,33 +3,28 @@
 The engine stack is fast but strictly single-caller (see
 :class:`~repro.cluster.scatter.ScatterGatherExecutor`), so an HTTP server
 cannot simply call ``engine.search`` from every connection handler.  The
-:class:`BatchingDispatcher` turns that constraint into a win:
+:class:`BatchingDispatcher` serialises access instead:
 
 * every ``/search`` request becomes a :class:`SearchItem` on an asyncio
   queue;
 * one dispatcher coroutine drains the queue into batches -- up to
   ``max_batch_size`` items, waiting at most ``max_linger_ms`` for
-  stragglers once the first item arrives -- and runs each batch as a single
-  :meth:`~repro.core.engine.FullTextEngine.search_many` call on a dedicated
-  worker thread (the event loop never blocks on evaluation);
-* ``search_many`` amortises the cursor factory and plan cache across the
-  batch, and fans the *whole batch* out to each shard in turn, so
-  coalescing is cheaper than per-request dispatch even before caching.
+  stragglers once the first item arrives -- and hands each batch to a
+  dedicated worker thread in one hop (the event loop never blocks on
+  evaluation);
+* on that thread every item is answered by its own
+  :meth:`~repro.core.engine.FullTextEngine.search` with its own ``top_k``,
+  forced engine and ``explain`` flag.  Coalescing saves event-loop to
+  engine-thread hops, nothing else.
 
-**Equivalence contract.**  Requests in one batch may ask for different
-``top_k`` values, while ``search_many`` takes a single cut.  The batch runs
-at the *widest* requested ``k`` (or unbounded if any request wants the full
-ranking) and each answer is narrowed with ``SearchResults.top(k)``.  Exact
-top-k rankings are prefixes of each other -- the same contract the query
-cache relies on (:meth:`ScatterGatherExecutor._covers`) -- so every client
-receives results bit-identical in ids, scores and order to a direct
-``engine.search(query, top_k=k)``.
+**Equivalence contract.**  Every client receives exactly what a direct
+``engine.search(query, engine=..., top_k=k, explain=...)`` returns, because
+that is the call that answers it.
 
-**Failure isolation.**  Queries are parsed *before* they enter the queue, so
-syntax errors never reach a batch.  If a batch still fails during
-evaluation (for example a query outside the forced engine's subset), the
-dispatcher retries each item individually: one poisoned query answers with
-its own error instead of failing its batch neighbours.
+**Failure isolation.**  Queries are parsed *before* they enter the queue,
+so syntax errors never reach a batch.  An exception raised while one item
+is evaluated rejects that item alone; its batch neighbours still get their
+answers.
 """
 
 from __future__ import annotations
@@ -68,8 +63,6 @@ class SearchItem:
     #: Absolute ``time.monotonic()`` deadline, or ``None`` for no deadline.
     deadline: float | None
     future: "asyncio.Future[SearchResults]" = field(repr=False, default=None)
-    #: EXPLAIN ANALYZE requests run individually (``search_many`` carries no
-    #: per-item explain flag) so their per-operator counts are theirs alone.
     explain: bool = False
     #: Request trace; receives dispatcher and engine spans when set.
     trace: object | None = field(repr=False, default=None)
@@ -79,7 +72,7 @@ class SearchItem:
 
 
 class BatchingDispatcher:
-    """Coalesce concurrent searches into ``search_many`` batches."""
+    """Coalesce concurrent searches into one engine-thread hop per batch."""
 
     def __init__(
         self,
@@ -117,7 +110,6 @@ class BatchingDispatcher:
         self._batches = 0
         self._batched_requests = 0
         self._max_batch = 0
-        self._individual_retries = 0
         self._expired_in_queue = 0
 
     # ------------------------------------------------------------ lifecycle
@@ -201,7 +193,6 @@ class BatchingDispatcher:
             "mean_batch_size": (
                 self._batched_requests / self._batches if self._batches else 0.0
             ),
-            "individual_retries": self._individual_retries,
             "expired_in_queue": self._expired_in_queue,
         }
 
@@ -214,9 +205,9 @@ class BatchingDispatcher:
             batch = [head]
             batch_done = self._collect(batch)
             if not batch_done and self.max_linger_ms > 0:
-                # Linger briefly for stragglers: the whole point of
-                # micro-batching is that requests arriving within a couple
-                # of milliseconds of each other share one engine call.
+                # Linger briefly for stragglers: requests arriving within a
+                # couple of milliseconds of each other share one hop onto
+                # the engine thread.
                 deadline = time.monotonic() + self.max_linger_ms / 1000.0
                 while len(batch) < self.max_batch_size:
                     if (
@@ -259,98 +250,45 @@ class BatchingDispatcher:
         live = [item for item in batch if not self._drop_if_expired(item)]
         if not live:
             return
-        explained = [item for item in live if item.explain]
-        live = [item for item in live if not item.explain]
-        if explained:
-            # EXPLAIN ANALYZE must attribute per-operator counts to exactly
-            # one query, so these never share a search_many call.
-            await self._execute_individually(explained, retries=False)
-        if not live:
-            return
         self._batches += 1
         self._batched_requests += len(live)
         self._max_batch = max(self._max_batch, len(live))
-        batch_k = self._widest_k(live)
-        engine_choice = live[0].engine_choice
-        if any(item.engine_choice != engine_choice for item in live):
-            # Mixed forced engines cannot share one search_many call.
-            await self._execute_individually(live)
-            return
-        loop = asyncio.get_running_loop()
-        spans = [
-            item.trace.span("dispatch.batch", batch_size=len(live))
-            for item in live
-            if item.trace is not None
-        ]
-        try:
-            answers = await loop.run_in_executor(
-                self._engine_pool,
-                lambda: self.engine.search_many(
-                    [item.query for item in live],
-                    engine=engine_choice,
-                    top_k=batch_k,
-                ),
-            )
-        except ReproError:
-            for span in spans:
-                span.end()
-            # One bad query must not fail its neighbours: fall back to
-            # per-item evaluation so each request gets its own answer/error.
-            await self._execute_individually(live)
-            return
-        except Exception as exc:  # engine bug: fail the batch loudly
-            for span in spans:
-                span.end()
-            for item in live:
-                self._reject(item, exc)
-            return
-        for span in spans:
-            span.end()
+        answers = await asyncio.get_running_loop().run_in_executor(
+            self._engine_pool,
+            lambda: [self._search(item, len(live)) for item in live],
+        )
         for item, answer in zip(live, answers):
-            self._resolve(item, self._narrow(answer, item.top_k, batch_k))
-
-    async def _execute_individually(
-        self, items: list[SearchItem], retries: bool = True
-    ) -> None:
-        loop = asyncio.get_running_loop()
-        for item in items:
-            if self._drop_if_expired(item):
-                continue
-            if retries:
-                self._individual_retries += 1
-            try:
-                answer = await loop.run_in_executor(
-                    self._engine_pool,
-                    lambda item=item: self.engine.search(
-                        item.query,
-                        engine=item.engine_choice,
-                        top_k=item.top_k,
-                        explain=item.explain,
-                        trace=item.trace,
-                    ),
-                )
-            except Exception as exc:
-                self._reject(item, exc)
+            if isinstance(answer, Exception):
+                self._reject(item, answer)
             else:
                 self._resolve(item, answer)
 
-    @staticmethod
-    def _widest_k(items: list[SearchItem]) -> int | None:
-        """The batch-wide cut: unbounded if any caller wants the full ranking."""
-        widest: int | None = 0
-        for item in items:
-            if item.top_k is None:
-                return None
-            widest = max(widest, item.top_k)
-        return widest
+    def _search(
+        self, item: SearchItem, batch_size: int
+    ) -> "SearchResults | Exception":
+        """Answer one item on the engine thread; an error is returned, not raised.
 
-    @staticmethod
-    def _narrow(
-        answer: SearchResults, top_k: int | None, batch_k: int | None
-    ) -> SearchResults:
-        if top_k is None or top_k == batch_k:
-            return answer
-        return answer.top(top_k)
+        With a trace, the engine's spans nest inside the item's
+        ``dispatch.batch`` span.
+        """
+        span = (
+            item.trace.span("dispatch.batch", batch_size=batch_size)
+            if item.trace is not None
+            else None
+        )
+        try:
+            return self.engine.search(
+                item.query,
+                engine=item.engine_choice,
+                top_k=item.top_k,
+                explain=item.explain,
+                trace=span,
+            )
+        except Exception as exc:
+            return exc
+        finally:
+            if span is not None:
+                span.end()
 
     def _drop_if_expired(self, item: SearchItem) -> bool:
         if not item.expired():

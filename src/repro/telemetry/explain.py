@@ -41,10 +41,10 @@ _SHORT = {
 def cursor_breakdown(factory: CursorFactory) -> "list[dict]":
     """One operator row per cursor the factory opened for this query.
 
-    Must run *before* ``factory.checkpoint()`` folds the cursors away.  A
-    multi-segment cursor (live index) reports how many segment parts it
-    merged; its parts share one stats object, so the row's counts already
-    cover every part.
+    The factory must be the query's own, so its cursors are exactly the
+    ones this query opened.  A multi-segment cursor (live index) reports
+    how many segment parts it merged; its parts share one stats object, so
+    the row's counts already cover every part.
     """
     rows = []
     for cursor in factory._open_cursors:

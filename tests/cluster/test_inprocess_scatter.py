@@ -15,11 +15,12 @@ calling thread -- there is no shard thread or process pool, and
 * that no ``repro-shard*`` thread exists during or after a query, or after
   ``close()``;
 * that a multi-shard miss classifies its query exactly once inside the
-  cluster tier (a hit: never) and computes its query norm once, and a forced
-  engine is validated before any shard runs;
+  cluster tier (a hit: never), that a string search through the facade
+  classifies exactly as often, that a miss computes its query norm once,
+  and that a forced engine is validated before any shard runs;
 * the two defects the thread-pooled path had: a raising shard left its
-  siblings running behind the caller's back, and ``execute_many`` reported
-  ``max(shard)`` as the elapsed time of shards that do not overlap.
+  siblings running behind the caller's back, and the merged elapsed time
+  was ``max(shard)`` for shards that do not overlap.
 """
 
 from __future__ import annotations
@@ -31,7 +32,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.cluster.scatter as scatter_module
+import repro.core.query as query_module
 import repro.engine.executor as executor_module
+import repro.languages.classify as classify_module
 from repro.bench.workload import workload_queries
 from repro.cluster import (
     LiveShardedIndex,
@@ -145,13 +148,13 @@ def standalone_counters(engine: FullTextEngine, query, top_k):
 
 
 # ------------------------------------------------- the equivalence cross-product
-ENTRY_POINTS = ("search", "search_many", "explain")
+ENTRY_POINTS = ("search", "explain")
 #: The single indexes the facade runs as the one-shard case.
 ONE_INDEX_SHAPES = ("inverted", "packed", "live_index")
 CACHE_SIZES = {"uncached": None, "cached": 32}
 #: ``(shape, entry, cache_size)``: static shards per entry point, live shards
-#: through all three entry points, and every single index through all three,
-#: uncached and behind a result cache.
+#: through both entry points, and every single index through both, uncached
+#: and behind a result cache.
 SHAPES = [
     *(
         pytest.param(shards, entry, None, id=f"{shards}-{entry}")
@@ -180,9 +183,7 @@ def build_index(shape, entry: str, corpus: Collection, directory):
 
 
 def run_entry_point(engine: FullTextEngine, entry: str, queries, position, top_k):
-    """One query's results; ``search_many`` still answers the whole batch."""
-    if entry == "search_many":
-        return engine.search_many(queries, top_k=top_k)[position]
+    """One query's results, searched plainly or with EXPLAIN ANALYZE."""
     return engine.search(
         queries[position], top_k=top_k, explain=entry == "explain"
     )
@@ -315,16 +316,18 @@ def test_a_miss_computes_the_query_norm_once(corpus, shards, monkeypatch):
 # ------------------------------------------------- per-query facts, decided once
 @pytest.fixture
 def classifications(monkeypatch) -> list:
-    """Every ``classify_query`` call made by the cluster tier or a shard executor."""
+    """Every ``classify_query`` call made by the facade, the cluster tier or
+    a shard executor (the facade reads it from ``repro.core.query`` and, for
+    an AST, from ``repro.languages.classify``)."""
     calls = []
-    original = executor_module.classify_query
+    original = classify_module.classify_query
 
     def counting(node, registry=None):
         calls.append(node)
         return original(node, registry)
 
-    monkeypatch.setattr(scatter_module, "classify_query", counting)
-    monkeypatch.setattr(executor_module, "classify_query", counting)
+    for module in (classify_module, query_module, scatter_module, executor_module):
+        monkeypatch.setattr(module, "classify_query", counting)
     return calls
 
 
@@ -350,18 +353,27 @@ def test_a_multi_shard_miss_classifies_once_and_a_hit_never(
         cluster.close()
 
 
-def test_a_batch_classifies_each_scheduled_query_once(corpus, queries, classifications):
-    cluster = ScatterGatherExecutor(ShardedIndex(corpus, 4), scoring="tfidf")
+@pytest.mark.parametrize("shards", [1, 4])
+def test_a_facade_search_classifies_once_on_a_miss_and_never_on_a_hit(
+    corpus, queries, classifications, shards
+):
+    """Parsing does not classify: the only classification of a search is
+    the coordinator's, on a miss -- for query text and for an AST alike."""
+    engine = FullTextEngine(
+        ShardedIndex(corpus, shards), scoring="tfidf", cache_size=32
+    )
     try:
-        cluster.execute(queries[0], top_k=5)
-        del classifications[:]
-        # One cached, two new, one duplicate of a new one.
-        cluster.execute_many(
-            [queries[0], queries[1], queries[2], queries[1]], top_k=5
-        )
-        assert len(classifications) == 2
+        for query in queries:
+            del classifications[:]
+            results = engine.search(query.to_text(), top_k=5)
+            assert results.metadata["cache"] == "miss"
+            assert len(classifications) == 1
+            del classifications[:]
+            assert engine.search(query.to_text(), top_k=5).metadata["cache"] == "hit"
+            assert engine.search(query, top_k=5).metadata["cache"] == "hit"
+            assert classifications == []
     finally:
-        cluster.close()
+        engine.close()
 
 
 @pytest.mark.parametrize("optimizer", OPTIMIZERS)
@@ -377,8 +389,6 @@ def test_forced_engine_misuse_raises(corpus, queries, shards, optimizer):
             cluster.execute(positive, engine="bool")
         with pytest.raises(UnsupportedQueryError, match="unknown engine"):
             cluster.execute(positive, engine="quantum")
-        with pytest.raises(UnsupportedQueryError):
-            cluster.execute_many([queries[0], positive], engine="bool")
         # A valid forced engine above the query's class still works.
         forced = cluster.execute(positive, engine="npred")
         assert forced.engine == "npred"
@@ -403,9 +413,8 @@ class ShardFailure(RuntimeError):
     pass
 
 
-@pytest.mark.parametrize("entry", ["execute", "execute_many"])
 def test_a_raising_shard_stops_the_scatter_and_leaves_nothing_running(
-    corpus, queries, entry
+    corpus, queries
 ):
     cluster = ScatterGatherExecutor(
         ShardedIndex(corpus, 4), scoring="tfidf", cache_size=None
@@ -416,7 +425,7 @@ def test_a_raising_shard_stops_the_scatter_and_leaves_nothing_running(
     evaluated = []
     originals = {}
     for shard_id, executor in enumerate(cluster._shard_executors):
-        originals[shard_id] = getattr(executor, entry)
+        originals[shard_id] = executor.execute
 
         def spy(*args, _shard_id=shard_id, **kwargs):
             evaluated.append(_shard_id)
@@ -424,22 +433,17 @@ def test_a_raising_shard_stops_the_scatter_and_leaves_nothing_running(
                 raise ShardFailure("shard 1 is broken")
             return originals[_shard_id](*args, **kwargs)
 
-        setattr(executor, entry, spy)
-
-    def run(query):
-        if entry == "execute":
-            return cluster.execute(query, top_k=5)
-        return cluster.execute_many([query], top_k=5)[0]
+        executor.execute = spy
 
     try:
         with pytest.raises(ShardFailure):
-            run(queries[0])
+            cluster.execute(queries[0], top_k=5)
         assert evaluated == [0, 1]  # shards 2 and 3 were never started
         assert not shard_threads()
         # The shard recovers; the next query finds every executor idle.
         for shard_id, executor in enumerate(cluster._shard_executors):
-            setattr(executor, entry, originals[shard_id])
-        merged = run(queries[2])
+            executor.execute = originals[shard_id]
+        merged = cluster.execute(queries[2], top_k=5)
         expected = reference.execute(queries[2], top_k=5)
         assert merged.node_ids == expected.node_ids
         assert merged.ranked() == expected.ranked()
@@ -447,28 +451,29 @@ def test_a_raising_shard_stops_the_scatter_and_leaves_nothing_running(
         cluster.close()
 
 
-def test_batch_elapsed_is_the_sum_of_back_to_back_shards(corpus, queries):
+def test_elapsed_covers_every_back_to_back_shard(corpus, queries):
     cluster = ScatterGatherExecutor(
         ShardedIndex(corpus, 4), scoring="tfidf", cache_size=None
     )
     shipped = []
     for executor in cluster._shard_executors:
-        original = executor.execute_many
+        original = executor.execute
 
         def spy(*args, _original=original, **kwargs):
             shipped.append(_original(*args, **kwargs))
             return shipped[-1]
 
-        executor.execute_many = spy
+        executor.execute = spy
     try:
-        merged = cluster.execute_many(queries, top_k=5)
+        for query in queries:
+            del shipped[:]
+            merged = cluster.execute(query, top_k=5)
+            assert len(shipped) == 4
+            shard_times = [result.elapsed_seconds for result in shipped]
+            assert merged.elapsed_seconds >= sum(shard_times)
+            assert merged.elapsed_seconds > max(shard_times)
     finally:
         cluster.close()
-    assert len(shipped) == 4
-    for position, result in enumerate(merged):
-        shard_times = [batch[position].elapsed_seconds for batch in shipped]
-        assert result.elapsed_seconds == sum(shard_times)
-        assert result.elapsed_seconds > max(shard_times)
 
 
 # ------------------------------------------------- the merge, against the heap merge

@@ -78,15 +78,6 @@ def test_sequential_fallback_equals_pooled_execution(collection):
     sequential.close()
 
 
-def test_execute_many_matches_repeated_execute(collection):
-    scatter = ScatterGatherExecutor(ShardedIndex(collection, 3), cache_size=None)
-    queries = [parse_query(text).node for text in QUERIES]
-    batch = scatter.execute_many(queries)
-    singles = [scatter.execute(query) for query in queries]
-    assert [r.node_ids for r in batch] == [r.node_ids for r in singles]
-    scatter.close()
-
-
 def test_cursor_stats_are_summed_over_shards(collection):
     query = parse_query("'software' AND 'usability'").node
     scatter = ScatterGatherExecutor(ShardedIndex(collection, 3), cache_size=None)
@@ -272,26 +263,13 @@ def test_incremental_update_rebinds_scoring_to_fresh_statistics():
     scatter.close()
 
 
-def test_execute_many_duplicates_never_alias_after_in_batch_eviction(collection):
-    # Capacity 1: the duplicate's entry is evicted by the second unique
-    # query's put within the same batch; the fallback must still hand out
-    # an independent copy.
-    scatter = ScatterGatherExecutor(ShardedIndex(collection, 2), cache_size=1)
-    q1 = parse_query("'software'").node
-    q2 = parse_query("'usability'").node
-    first, _, dup = scatter.execute_many([q1, q2, q1])
-    assert dup.node_ids == first.node_ids
-    assert dup is not first
-    dup.node_ids.clear()
-    assert first.node_ids != []
-    scatter.close()
-
-
-def test_execute_many_counts_in_batch_duplicates_as_hits(collection):
+def test_a_repeated_execute_counts_as_a_hit(collection):
     scatter = ScatterGatherExecutor(ShardedIndex(collection, 2), cache_size=8)
     query = parse_query("'software'").node
-    batch = scatter.execute_many([query, query, query])
-    assert [r.from_cache for r in batch] == [False, True, True]
+    answers = [scatter.execute(query) for _ in range(3)]
+    assert [r.from_cache for r in answers] == [False, True, True]
+    assert answers[2].node_ids == answers[0].node_ids
+    assert answers[2] is not answers[1]
     stats = scatter.cache_stats()
     assert stats["misses"] == 1
     assert stats["hits"] == 2

@@ -88,20 +88,6 @@ def test_workload_equivalence_scored(corpus, queries, shards, scoring):
     sharded.close()
 
 
-@pytest.mark.parametrize("shards", SHARD_COUNTS)
-def test_batch_equivalence(corpus, queries, shards):
-    single = FullTextEngine.from_collection(corpus, scoring="tfidf")
-    sharded = FullTextEngine.from_collection(corpus, scoring="tfidf", shards=shards)
-    batch = list(queries.values()) + list(queries.values())  # with repeats
-    expected = single.search_many(batch, top_k=5)
-    got = sharded.search_many(batch, top_k=5)
-    for theirs, ours in zip(expected, got):
-        assert ours.node_ids == theirs.node_ids
-        for a, b in zip(theirs.results, ours.results):
-            assert b.score == pytest.approx(a.score, abs=1e-9)
-    sharded.close()
-
-
 # ------------------------------------------------------- hypothesis property
 TOKENS = ["a", "b", "c", "d"]
 

@@ -109,22 +109,6 @@ def test_pushdown_matrix(corpus, queries, access_mode, scoring, shards, live):
         engine.close()
 
 
-def test_pushdown_exact_in_batches(corpus, queries):
-    for shards in (1, 4):
-        engine = FullTextEngine.from_collection(
-            corpus, scoring="tfidf", shards=shards, cache_size=0
-        )
-        batch = [queries[series] for series, _ in ENGINE_SERIES]
-        full = engine.search_many(batch)
-        pruned = engine.search_many(batch, top_k=3)
-        for complete, cut in zip(full, pruned):
-            assert [(r.node_id, r.score) for r in cut.results] == [
-                (r.node_id, r.score) for r in complete.results
-            ][:3]
-            assert cut.total_matches == complete.total_matches
-        engine.close()
-
-
 # ------------------------------------------------------- hypothesis property
 TOKENS = ["a", "b", "c", "d"]
 

@@ -5,7 +5,12 @@ from __future__ import annotations
 import pytest
 
 from repro import Collection, FullTextEngine
-from repro.exceptions import QuerySemanticsError, QuerySyntaxError, UnsupportedQueryError
+from repro.exceptions import (
+    EvaluationError,
+    QuerySemanticsError,
+    QuerySyntaxError,
+    UnsupportedQueryError,
+)
 from repro.languages import parse_comp
 from repro.languages.classify import LanguageClass
 from repro.model.predicates import FunctionPredicate
@@ -102,3 +107,14 @@ def test_search_results_container_helpers(engine):
     top = results.top(2)
     assert len(top) == 2
     assert top.total_matches == results.total_matches
+
+
+def test_engine_rejects_unknown_access_mode():
+    with pytest.raises(EvaluationError):
+        FullTextEngine.from_texts(["usability testing"], access_mode="warp")
+
+
+def test_facade_exposes_access_mode():
+    engine = FullTextEngine.from_texts(["usability testing"], access_mode="fast")
+    assert engine.access_mode == "fast"
+    assert engine._coordinator.access_mode == "fast"

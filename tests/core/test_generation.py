@@ -11,10 +11,9 @@ write.  These tests pin
   shards: ``tests/cluster/test_live_sharded.py``);
 * its consequence on every facade shape that accepts writes: after a fixed
   sequence of appends (plus updates and deletes where supported) interleaved
-  with searches, ``search`` and ``search_many`` answer exactly like an
-  engine freshly built over the surviving documents -- same ids, scores
-  equal under ``==``, same order, same match count -- and the optimizer
-  re-plans after every write.
+  with searches, ``search`` answers exactly like an engine freshly built
+  over the surviving documents -- same ids, scores equal under ``==``, same
+  order, same match count -- and the optimizer re-plans after every write.
 """
 
 from __future__ import annotations
@@ -56,12 +55,11 @@ def collection_of(docs: dict[int, str]) -> Collection:
 
 
 def answers(engine: FullTextEngine) -> list:
-    """Everything a user sees, through both entry points and both cuts."""
+    """Everything a user sees, at both cuts."""
     seen = []
     for top_k in TOP_KS:
-        singles = [engine.search(query, top_k=top_k) for query in QUERIES]
-        batch = engine.search_many(QUERIES, top_k=top_k)
-        for results in (*singles, *batch):
+        for query in QUERIES:
+            results = engine.search(query, top_k=top_k)
             seen.append(
                 (
                     [(result.node_id, result.score) for result in results.results],

@@ -78,7 +78,7 @@ def test_validation_is_uniform_across_entry_points(collection):
         with pytest.raises(ValueError):
             engine.search("'alpha'", top_k=0)
         with pytest.raises(ValueError):
-            engine.search_many(["'alpha'"], top_k=-3)
+            engine.explain("'alpha'", analyze=True, top_k=-3)
     sharded.close()
 
 
@@ -255,19 +255,6 @@ def test_pushdown_skips_document_scores():
     pruned = executor.execute(query, top_k=1)
     assert pruned.ranked() == full.ranked()[:1]
     assert calls["count"] < full_calls
-
-
-def test_execute_many_pushdown_matches_execute(index):
-    executor = Executor(index, scoring=get_model("probabilistic", index.statistics))
-    queries = [
-        parse_query("'alpha'").node,
-        parse_query("'beta' AND 'gamma'").node,
-        parse_query("'alpha' OR 'delta'").node,
-    ]
-    batch = executor.execute_many(queries, top_k=2)
-    singles = [executor.execute(query, top_k=2) for query in queries]
-    assert [r.ranked() for r in batch] == [r.ranked() for r in singles]
-    assert [r.node_ids for r in batch] == [r.node_ids for r in singles]
 
 
 def test_comp_fallback_discards_partial_collector(index):

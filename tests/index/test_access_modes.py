@@ -135,7 +135,7 @@ def test_paper_mode_seek_into_a_gap_then_past_the_end(gappy):
     assert cursor.seek(100) is None
 
 
-def test_cursor_stats_extended_dict_and_delta():
+def test_cursor_stats_extended_dict_and_copy():
     stats = CursorStats(1, 2, 3, 4, 5)
     assert stats.as_dict() == {
         "next_entry_calls": 1,
@@ -144,15 +144,10 @@ def test_cursor_stats_extended_dict_and_delta():
     }
     assert stats.as_extended_dict()["seek_calls"] == 4
     assert stats.as_extended_dict()["seek_probes"] == 5
-    delta = stats.delta_since(CursorStats(1, 1, 1, 1, 1))
-    assert delta.as_extended_dict() == {
-        "next_entry_calls": 0,
-        "get_positions_calls": 1,
-        "positions_returned": 2,
-        "seek_calls": 3,
-        "seek_probes": 4,
-    }
-    assert stats.copy().as_extended_dict() == stats.as_extended_dict()
+    copy = stats.copy()
+    assert copy.as_extended_dict() == stats.as_extended_dict()
+    copy.merge(CursorStats(1, 1, 1, 1, 1))
+    assert stats.as_extended_dict()["seek_probes"] == 5  # independent
 
 
 def test_factory_fixes_the_mode_and_rejects_unknown_modes(gappy):

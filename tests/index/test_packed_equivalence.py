@@ -99,16 +99,6 @@ def test_packed_executor_is_byte_identical(
             )
 
 
-@pytest.mark.parametrize("access_mode", ["paper", "fast"])
-def test_packed_execute_many_is_byte_identical(indexes, access_mode):
-    reference, packed = _executors(indexes, "tfidf", access_mode)
-    queries = [parse_query(text).node for text in QUERIES]
-    expected = reference.execute_many(queries, top_k=4)
-    actual = packed.execute_many(queries, top_k=4)
-    assert [r.node_ids for r in actual] == [r.node_ids for r in expected]
-    assert [r.ranked() for r in actual] == [r.ranked() for r in expected]
-
-
 def test_packed_statistics_match_in_memory(indexes):
     memory, packed = indexes
     reference = memory.statistics

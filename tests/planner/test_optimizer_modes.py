@@ -63,8 +63,7 @@ def test_repro_search_rejects_static(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------- plan memo
-@pytest.mark.parametrize("entry", ["execute", "execute_many"])
-def test_a_second_pass_on_an_on_executor_builds_no_plans(small_synthetic, entry):
+def test_a_second_pass_on_an_on_executor_builds_no_plans(small_synthetic):
     index = InvertedIndex(small_synthetic)
     executor = Executor(
         index,
@@ -84,8 +83,6 @@ def test_a_second_pass_on_an_on_executor_builds_no_plans(small_synthetic, entry)
     ]
 
     def run_pass():
-        if entry == "execute_many":
-            return [r.ranked() for r in executor.execute_many(nodes, top_k=5)]
         return [executor.execute(node, top_k=5).ranked() for node in nodes]
 
     first = run_pass()

@@ -1,9 +1,9 @@
 """Unit tests for the micro-batching dispatcher.
 
 Everything here drives :class:`BatchingDispatcher` directly on an asyncio
-loop -- no sockets -- so the coalescing, widest-k narrowing, failure
-isolation and deadline semantics are pinned down independently of the HTTP
-layer.
+loop -- no sockets -- so the coalescing, the per-item equivalence with a
+direct ``engine.search``, failure isolation and deadline semantics are
+pinned down independently of the HTTP layer.
 """
 
 from __future__ import annotations
@@ -14,11 +14,13 @@ import time
 import pytest
 
 from repro.exceptions import UnsupportedQueryError
+from repro.model.predicates import FunctionPredicate
 from repro.server.batching import (
     BatchingDispatcher,
     DeadlineExceeded,
     DispatcherClosed,
 )
+from repro.telemetry.trace import Trace
 
 from harness import make_engine
 
@@ -72,26 +74,56 @@ def test_concurrent_submits_coalesce_into_one_batch(engine):
         assert results_key(answer) == results_key(direct)
 
 
-def test_mixed_top_k_narrows_each_answer_exactly(engine):
-    """The batch runs at the widest k; every caller gets its own exact cut."""
-    ks = [1, 3, 7, None, 2]
+def test_a_mixed_batch_answers_each_item_like_a_direct_search(engine):
+    """Mixed ``top_k``, forced engines and an EXPLAIN item share one batch;
+    every item equals ``engine.search`` called with its own arguments, and a
+    traced item's engine spans nest inside its ``dispatch.batch`` span."""
+    requests = [
+        ("'usability' OR 'software'", 1, "auto", False),
+        ("'usability' OR 'software'", 7, "auto", False),
+        ("'usability' OR 'software'", None, "bool", False),
+        ("'usability'", 4, "bool", False),
+        ("'software'", 4, "ppred", False),
+        ("dist('usability', 'software', 8)", 3, "npred", False),
+        ("'usability' AND 'software'", 2, "auto", True),
+    ]
+    trace = Trace("mixed")
 
     async def main():
         dispatcher = BatchingDispatcher(engine, max_batch_size=32, max_linger_ms=200.0)
         dispatcher.start()
         try:
-            query = engine.parse("'usability' OR 'software'")
-            return await asyncio.gather(
-                *(dispatcher.submit(query, top_k=k) for k in ks)
+            answers = await asyncio.gather(
+                *(
+                    dispatcher.submit(
+                        engine.parse(text), top_k=k, engine_choice=choice,
+                        explain=explain, trace=trace if explain else None,
+                    )
+                    for text, k, choice, explain in requests
+                )
             )
         finally:
             await dispatcher.stop()
+        return answers, dispatcher.stats()
 
-    answers = run(main())
-    for k, answer in zip(ks, answers):
-        direct = engine.search("'usability' OR 'software'", top_k=k)
+    answers, stats = run(main())
+    assert stats["batches"] == 1
+    assert stats["batched_requests"] == len(requests)
+    for (text, k, choice, explain), answer in zip(requests, answers):
+        direct = engine.search(text, engine=choice, top_k=k, explain=explain)
         assert results_key(answer) == results_key(direct)
         assert answer.total_matches == direct.total_matches
+        assert answer.engine == direct.engine
+        assert ("explain" in answer.metadata) is explain
+        if explain:
+            assert (
+                answer.metadata["explain"]["cursor_totals"]
+                == direct.metadata["explain"]["cursor_totals"]
+            )
+    (dispatch,) = trace.children
+    assert dispatch.name == "dispatch.batch"
+    assert dispatch.meta == {"batch_size": len(requests)}
+    assert [child.name for child in dispatch.children] == ["scatter.shard"]
 
 
 def test_max_batch_size_splits_batches(engine):
@@ -114,7 +146,7 @@ def test_max_batch_size_splits_batches(engine):
 
 def test_bad_query_does_not_fail_batch_neighbours(engine):
     """A query outside the forced engine's subset fails alone; its batch
-    neighbours are retried individually and still answer correctly."""
+    neighbour still answers correctly."""
     good_text = "'usability' AND 'software'"
     bad_text = "NOT 'usability'"  # PPRED cannot evaluate free-standing negation
 
@@ -137,28 +169,46 @@ def test_bad_query_does_not_fail_batch_neighbours(engine):
         engine.search(good_text, engine="ppred", top_k=5)
     )
     assert isinstance(bad_answer, UnsupportedQueryError)
-    assert stats["individual_retries"] >= 2
+    assert stats["batches"] == 1
 
 
-def test_mixed_engine_choices_run_individually_and_correctly(engine):
+def test_a_raising_predicate_fails_only_its_own_request(server_collection):
+    """An exception that is not a ``ReproError`` -- here a user predicate
+    dividing by zero -- rejects its own request and no other."""
+    engine = make_engine(server_collection)
+    engine.register_predicate(
+        FunctionPredicate("broken", 2, lambda positions, constants: 1 / 0)
+    )
+    good_text = "'usability' AND 'software'"
+    bad_text = (
+        "SOME p1 SOME p2 (p1 HAS 'usability' AND p2 HAS 'software' "
+        "AND broken(p1, p2))"
+    )
+
     async def main():
         dispatcher = BatchingDispatcher(engine, max_batch_size=32, max_linger_ms=200.0)
         dispatcher.start()
         try:
             return await asyncio.gather(
-                dispatcher.submit(engine.parse("'usability'"), top_k=4, engine_choice="bool"),
-                dispatcher.submit(engine.parse("'software'"), top_k=4, engine_choice="ppred"),
-            )
+                dispatcher.submit(engine.parse(good_text), top_k=5),
+                dispatcher.submit(engine.parse(bad_text), top_k=5),
+                return_exceptions=True,
+            ), dispatcher.stats()
         finally:
             await dispatcher.stop()
 
-    bool_answer, ppred_answer = run(main())
-    assert results_key(bool_answer) == results_key(
-        engine.search("'usability'", engine="bool", top_k=4)
-    )
-    assert results_key(ppred_answer) == results_key(
-        engine.search("'software'", engine="ppred", top_k=4)
-    )
+    try:
+        (good_answer, bad_answer), stats = run(main())
+        assert stats["batches"] == 1
+        assert not isinstance(good_answer, Exception), good_answer
+        assert results_key(good_answer) == results_key(
+            engine.search(good_text, top_k=5)
+        )
+        assert isinstance(bad_answer, ZeroDivisionError)
+        with pytest.raises(ZeroDivisionError):
+            engine.search(bad_text, top_k=5)
+    finally:
+        engine.close()
 
 
 def test_expired_deadline_raises_deadline_exceeded(engine):

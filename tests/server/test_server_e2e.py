@@ -180,10 +180,6 @@ class SlowEngine:
     def __getattr__(self, name):
         return getattr(self._inner, name)
 
-    def search_many(self, queries, **kwargs):
-        time.sleep(self._delay)
-        return self._inner.search_many(queries, **kwargs)
-
     def search(self, query, **kwargs):
         time.sleep(self._delay)
         return self._inner.search(query, **kwargs)

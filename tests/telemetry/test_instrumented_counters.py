@@ -88,7 +88,7 @@ def test_scatter_task_counter_counts_shards_per_query(collection):
         before = instruments.SCATTER_TASKS_TOTAL.value()
         engine.search(QUERY)
         assert instruments.SCATTER_TASKS_TOTAL.value() == before + 3
-        engine.search_many([QUERY, "'usability'"])  # one task per shard per batch
+        engine.search("'usability'")  # one task per shard per execute
         assert instruments.SCATTER_TASKS_TOTAL.value() == before + 6
     finally:
         engine.close()

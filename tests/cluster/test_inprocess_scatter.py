@@ -148,13 +148,13 @@ def standalone_counters(engine: FullTextEngine, query, top_k):
 
 
 # ------------------------------------------------- the equivalence cross-product
-ENTRY_POINTS = ("search", "explain")
+ENTRY_POINTS = ("search", "text", "explain")
 #: The single indexes the facade runs as the one-shard case.
 ONE_INDEX_SHAPES = ("inverted", "packed", "live_index")
 CACHE_SIZES = {"uncached": None, "cached": 32}
 #: ``(shape, entry, cache_size)``: static shards per entry point, live shards
-#: through both entry points, and every single index through both, uncached
-#: and behind a result cache.
+#: through every entry point, and every single index through every one,
+#: uncached and behind a result cache.
 SHAPES = [
     *(
         pytest.param(shards, entry, None, id=f"{shards}-{entry}")
@@ -183,10 +183,12 @@ def build_index(shape, entry: str, corpus: Collection, directory):
 
 
 def run_entry_point(engine: FullTextEngine, entry: str, queries, position, top_k):
-    """One query's results, searched plainly or with EXPLAIN ANALYZE."""
-    return engine.search(
-        queries[position], top_k=top_k, explain=entry == "explain"
-    )
+    """One query's results: searched as an AST, as query text (parsed and
+    classified by the facade), or with EXPLAIN ANALYZE."""
+    query = queries[position]
+    if entry == "text":
+        return engine.search(query.to_text(), top_k=top_k)
+    return engine.search(query, top_k=top_k, explain=entry == "explain")
 
 
 @pytest.mark.parametrize("position", range(len(QUERY_NAMES)), ids=QUERY_NAMES)
@@ -413,8 +415,9 @@ class ShardFailure(RuntimeError):
     pass
 
 
+@pytest.mark.parametrize("explain", [False, True], ids=["execute", "explain"])
 def test_a_raising_shard_stops_the_scatter_and_leaves_nothing_running(
-    corpus, queries
+    corpus, queries, explain
 ):
     cluster = ScatterGatherExecutor(
         ShardedIndex(corpus, 4), scoring="tfidf", cache_size=None
@@ -437,13 +440,13 @@ def test_a_raising_shard_stops_the_scatter_and_leaves_nothing_running(
 
     try:
         with pytest.raises(ShardFailure):
-            cluster.execute(queries[0], top_k=5)
+            cluster.execute(queries[0], top_k=5, explain=explain)
         assert evaluated == [0, 1]  # shards 2 and 3 were never started
         assert not shard_threads()
         # The shard recovers; the next query finds every executor idle.
         for shard_id, executor in enumerate(cluster._shard_executors):
             executor.execute = originals[shard_id]
-        merged = cluster.execute(queries[2], top_k=5)
+        merged = cluster.execute(queries[2], top_k=5, explain=explain)
         expected = reference.execute(queries[2], top_k=5)
         assert merged.node_ids == expected.node_ids
         assert merged.ranked() == expected.ranked()
@@ -451,7 +454,8 @@ def test_a_raising_shard_stops_the_scatter_and_leaves_nothing_running(
         cluster.close()
 
 
-def test_elapsed_covers_every_back_to_back_shard(corpus, queries):
+@pytest.mark.parametrize("explain", [False, True], ids=["execute", "explain"])
+def test_elapsed_covers_every_back_to_back_shard(corpus, queries, explain):
     cluster = ScatterGatherExecutor(
         ShardedIndex(corpus, 4), scoring="tfidf", cache_size=None
     )
@@ -467,7 +471,7 @@ def test_elapsed_covers_every_back_to_back_shard(corpus, queries):
     try:
         for query in queries:
             del shipped[:]
-            merged = cluster.execute(query, top_k=5)
+            merged = cluster.execute(query, top_k=5, explain=explain)
             assert len(shipped) == 4
             shard_times = [result.elapsed_seconds for result in shipped]
             assert merged.elapsed_seconds >= sum(shard_times)

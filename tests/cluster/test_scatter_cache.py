@@ -78,6 +78,22 @@ def test_sequential_fallback_equals_pooled_execution(collection):
     sequential.close()
 
 
+def test_repeated_execute_matches_the_first(collection):
+    """Uncached, a second pass over the queries recomputes every answer
+    bit-identically: ids, ranked scores and summed cursor counts."""
+    scatter = ScatterGatherExecutor(ShardedIndex(collection, 3), cache_size=None)
+    queries = [parse_query(text).node for text in QUERIES]
+    first = [scatter.execute(query) for query in queries]
+    second = [scatter.execute(query) for query in queries]
+    assert not any(result.from_cache for result in first + second)
+    assert [r.node_ids for r in second] == [r.node_ids for r in first]
+    assert [r.ranked() for r in second] == [r.ranked() for r in first]
+    assert [r.cursor_stats.as_extended_dict() for r in second] == [
+        r.cursor_stats.as_extended_dict() for r in first
+    ]
+    scatter.close()
+
+
 def test_cursor_stats_are_summed_over_shards(collection):
     query = parse_query("'software' AND 'usability'").node
     scatter = ScatterGatherExecutor(ShardedIndex(collection, 3), cache_size=None)
@@ -273,6 +289,25 @@ def test_a_repeated_execute_counts_as_a_hit(collection):
     stats = scatter.cache_stats()
     assert stats["misses"] == 1
     assert stats["hits"] == 2
+    scatter.close()
+
+
+def test_an_evicted_query_is_recomputed_and_never_aliased(collection):
+    # Capacity 1: the second query's put evicts the first, so the first
+    # query's repeat is a fresh miss that equals, but is not, the original.
+    scatter = ScatterGatherExecutor(ShardedIndex(collection, 2), cache_size=1)
+    q1 = parse_query("'software'").node
+    q2 = parse_query("'usability'").node
+    first, _, again = (scatter.execute(q) for q in (q1, q2, q1))
+    assert not again.from_cache
+    assert again.node_ids == first.node_ids
+    assert again.ranked() == first.ranked()
+    assert again is not first
+    again.node_ids.clear()
+    assert first.node_ids != []
+    stats = scatter.cache_stats()
+    assert stats["misses"] == 3
+    assert stats["hits"] == 0
     scatter.close()
 
 

@@ -88,6 +88,29 @@ def test_workload_equivalence_scored(corpus, queries, shards, scoring):
     sharded.close()
 
 
+@pytest.mark.parametrize("shards", SHARD_COUNTS)
+def test_repeated_workload_equivalence(corpus, queries, shards):
+    """A workload with every query twice: the repeats are answered from the
+    result cache, and the cached answers equal the single index's too."""
+    single = FullTextEngine.from_collection(corpus, scoring="tfidf")
+    sharded = FullTextEngine.from_collection(
+        corpus, scoring="tfidf", shards=shards, cache_size=32
+    )
+    workload = list(queries.values()) + list(queries.values())
+    try:
+        for position, query in enumerate(workload):
+            expected = single.search(query, top_k=5)
+            got = sharded.search(query, top_k=5)
+            repeat = position >= len(queries)
+            assert (got.metadata["cache"] == "hit") is repeat
+            assert got.node_ids == expected.node_ids
+            assert got.total_matches == expected.total_matches
+            for theirs, ours in zip(expected.results, got.results):
+                assert ours.score == pytest.approx(theirs.score, abs=1e-9)
+    finally:
+        sharded.close()
+
+
 # ------------------------------------------------------- hypothesis property
 TOKENS = ["a", "b", "c", "d"]
 

@@ -109,6 +109,20 @@ def test_pushdown_matrix(corpus, queries, access_mode, scoring, shards, live):
         engine.close()
 
 
+def test_pushdown_exact_under_the_automatic_engine_choice(corpus, queries):
+    """The matrix forces each engine; here every query runs on the engine
+    its class picks, and each top-3 cut is the unpruned ranking's prefix."""
+    for shards in (1, 4):
+        engine = FullTextEngine.from_collection(
+            corpus, scoring="tfidf", shards=shards, cache_size=0
+        )
+        try:
+            for series, _ in ENGINE_SERIES:
+                assert_pushdown_exact(engine, queries[series], "auto")
+        finally:
+            engine.close()
+
+
 # ------------------------------------------------------- hypothesis property
 TOKENS = ["a", "b", "c", "d"]
 

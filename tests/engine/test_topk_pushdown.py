@@ -257,6 +257,19 @@ def test_pushdown_skips_document_scores():
     assert calls["count"] < full_calls
 
 
+def test_explain_pushdown_matches_execute(index):
+    """EXPLAIN ANALYZE observes the pushdown without changing its answer."""
+    executor = Executor(index, scoring=get_model("probabilistic", index.statistics))
+    for text in ("'alpha'", "'beta' AND 'gamma'", "'alpha' OR 'delta'"):
+        query = parse_query(text).node
+        explained = executor.execute(query, top_k=2, explain=True)
+        plain = executor.execute(query, top_k=2)
+        assert explained.ranked() == plain.ranked()
+        assert explained.node_ids == plain.node_ids
+        assert explained.explain["top_k"]["k"] == 2
+        assert plain.explain is None
+
+
 def test_comp_fallback_discards_partial_collector(index):
     # An unscored COMP-class query routed through the pushdown must still
     # produce the first-k-ids prefix even when evaluation falls back.

@@ -99,6 +99,27 @@ def test_packed_executor_is_byte_identical(
             )
 
 
+def _without_wall_clock(payload: dict) -> dict:
+    return {key: value for key, value in payload.items() if key != "elapsed_ms"}
+
+
+@pytest.mark.parametrize("access_mode", ["paper", "fast"])
+def test_packed_explain_is_byte_identical(indexes, access_mode):
+    """EXPLAIN ANALYZE over the packed index reports the in-memory index's
+    operator tree, per-cursor counts, top-k and plan; only the wall clock
+    differs."""
+    reference, packed = _executors(indexes, "tfidf", access_mode)
+    for text in QUERIES:
+        query = parse_query(text).node
+        expected = reference.execute(query, top_k=4, explain=True)
+        actual = packed.execute(query, top_k=4, explain=True)
+        assert actual.node_ids == expected.node_ids
+        assert actual.ranked() == expected.ranked()
+        assert _without_wall_clock(actual.explain) == _without_wall_clock(
+            expected.explain
+        )
+
+
 def test_packed_statistics_match_in_memory(indexes):
     memory, packed = indexes
     reference = memory.statistics

@@ -63,7 +63,8 @@ def test_repro_search_rejects_static(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------- plan memo
-def test_a_second_pass_on_an_on_executor_builds_no_plans(small_synthetic):
+@pytest.mark.parametrize("explain", [False, True], ids=["execute", "explain"])
+def test_a_second_pass_on_an_on_executor_builds_no_plans(small_synthetic, explain):
     index = InvertedIndex(small_synthetic)
     executor = Executor(
         index,
@@ -83,7 +84,10 @@ def test_a_second_pass_on_an_on_executor_builds_no_plans(small_synthetic):
     ]
 
     def run_pass():
-        return [executor.execute(node, top_k=5).ranked() for node in nodes]
+        return [
+            executor.execute(node, top_k=5, explain=explain).ranked()
+            for node in nodes
+        ]
 
     first = run_pass()
     built = executor.planner.plans_built

@@ -126,6 +126,42 @@ def test_a_mixed_batch_answers_each_item_like_a_direct_search(engine):
     assert [child.name for child in dispatch.children] == ["scatter.shard"]
 
 
+def test_each_traced_item_gets_its_own_dispatch_span(engine):
+    """Two traced requests (one of them EXPLAIN) and an untraced one share a
+    batch: each trace holds one ``dispatch.batch`` span with the batch size,
+    nesting only its own search's engine span."""
+    traces = [Trace("plain"), Trace("explained")]
+
+    async def main():
+        dispatcher = BatchingDispatcher(engine, max_batch_size=32, max_linger_ms=200.0)
+        dispatcher.start()
+        try:
+            answers = await asyncio.gather(
+                dispatcher.submit(engine.parse("'usability'"), top_k=3),
+                dispatcher.submit(
+                    engine.parse("'software'"), top_k=3, trace=traces[0]
+                ),
+                dispatcher.submit(
+                    engine.parse("'testing' OR 'efficient'"), top_k=3,
+                    explain=True, trace=traces[1],
+                ),
+            )
+        finally:
+            await dispatcher.stop()
+        return answers, dispatcher.stats()
+
+    answers, stats = run(main())
+    assert stats["batches"] == 1
+    assert stats["batched_requests"] == 3
+    for trace in traces:
+        (dispatch,) = trace.children
+        assert dispatch.name == "dispatch.batch"
+        assert dispatch.meta == {"batch_size": 3}
+        assert [child.name for child in dispatch.children] == ["scatter.shard"]
+    assert "explain" not in answers[1].metadata
+    assert "explain" in answers[2].metadata
+
+
 def test_max_batch_size_splits_batches(engine):
     async def main():
         dispatcher = BatchingDispatcher(engine, max_batch_size=2, max_linger_ms=200.0)

@@ -136,7 +136,7 @@ class _PlanBuilder:
     # ------------------------------------------------------------- internals
     def _build_block(self, node: ast.QueryNode) -> "BlockPlan":
         block = BlockPlan()
-        self._collect(node, block)
+        self._collect(node, block, {})
         if not block.bindings and not block.closed_conjuncts:
             raise UnsupportedQueryError(
                 "a conjunctive block needs at least one positive token "
@@ -148,23 +148,46 @@ class _PlanBuilder:
                 block.attribute_of(var)
         return block
 
-    def _collect(self, node: ast.QueryNode, block: "BlockPlan") -> None:
+    def _collect(
+        self, node: ast.QueryNode, block: "BlockPlan", scope: dict[str, str]
+    ) -> None:
+        """Add ``node``'s conjuncts to ``block``.
+
+        ``scope`` maps each position variable in scope to its block
+        variable.  A ``SOME`` whose name the block already uses (a shadowing
+        or a sibling quantifier) gets a fresh block variable, so one block
+        variable is one calculus variable.  A variable bound to a second
+        token becomes a fresh scan of that token tied to the first by
+        ``samepos``: one position holds one token.
+        """
         if isinstance(node, ast.SomeQuery):
-            self._collect(node.operand, block)
+            var = node.var
+            if var in scope.values() or var in block.variables():
+                var = self._fresh_var()
+            self._collect(node.operand, block, {**scope, node.var: var})
             return
         if isinstance(node, ast.AndQuery):
-            self._collect(node.left, block)
-            self._collect(node.right, block)
+            self._collect(node.left, block, scope)
+            self._collect(node.right, block, scope)
             return
         if isinstance(node, ast.VarHasToken):
-            block.bindings.append((node.var, node.token))
+            var = scope.get(node.var, node.var)
+            if (var, node.token) in block.bindings:
+                return
+            if var in block.variables():
+                scan = self._fresh_var()
+                block.bindings.append((scan, node.token))
+                block.predicates.append(PredicateSpec("samepos", (var, scan)))
+            else:
+                block.bindings.append((var, node.token))
             return
         if isinstance(node, ast.TokenQuery):
             block.bindings.append((self._fresh_var(), node.token))
             return
         if isinstance(node, ast.PredQuery):
+            variables = tuple(scope.get(var, var) for var in node.variables)
             block.predicates.append(
-                PredicateSpec(node.name, node.variables, node.constants)
+                PredicateSpec(node.name, variables, node.constants)
             )
             return
         if isinstance(node, ast.DistQuery):

@@ -4,14 +4,11 @@ The scatter-gather executor evaluates the shards one after another in the
 calling thread -- there is no shard thread or process pool, and
 ``max_workers`` is accepted and ignored.  These tests pin
 
-* the equivalence that licenses that design: every shard count x entry
-  point x query, on static and on live shards -- and every single index
-  (in-memory, packed, live) as the one-shard case, uncached and cached --
-  returns the node ids of the paper's naive COMP engine (ground truth), the
-  unsharded engine's ids, scores, order and match count, and cursor
-  statistics equal to the sum over the shards evaluated stand-alone --
-  whatever ``max_workers`` says, while the retired ``workers`` keyword is
-  refused;
+* that four shards return the unsharded engine's ids, scores, order and
+  match count, and cursor statistics equal to the sum over the shards
+  evaluated stand-alone, whatever ``max_workers`` says, while the retired
+  ``workers`` keyword is refused (every shard count and index shape against
+  the calculus is ``tests/equivalence``);
 * that no ``repro-shard*`` thread exists during or after a query, or after
   ``close()``;
 * that a multi-shard miss classifies its query exactly once inside the
@@ -37,7 +34,6 @@ import repro.engine.executor as executor_module
 import repro.languages.classify as classify_module
 from repro.bench.workload import workload_queries
 from repro.cluster import (
-    LiveShardedIndex,
     ScatterGatherExecutor,
     ShardedIndex,
     merge_cursor_stats,
@@ -48,14 +44,11 @@ from repro.core.query import parse_query
 from repro.corpus import Collection
 from repro.corpus.synthetic import SyntheticSpec, generate_collection
 from repro.engine.executor import Executor
-from repro.engine.naive_engine import NaiveCompEngine
 from repro.exceptions import UnsupportedQueryError
-from repro.index import InvertedIndex, PackedInvertedIndex, save_packed_index
+from repro.index import InvertedIndex
 from repro.index.statistics import IndexStatistics
 from repro.languages import ast
-from repro.segments import LiveIndex
 
-SHARD_COUNTS = (1, 2, 4, 7)
 TOP_KS = (None, 5)
 OPTIMIZERS = ("off", "on")
 #: The fixture queries by name: the paper's three series, then two BOOL extras.
@@ -121,23 +114,6 @@ def unsharded(corpus, queries) -> dict:
     }
 
 
-@pytest.fixture(scope="module")
-def oracle(corpus, queries) -> list[list[int]]:
-    """Every query's node ids under the paper's naive COMP engine, ascending."""
-    naive = NaiveCompEngine(InvertedIndex(corpus))
-    return [naive.evaluate(query) for query in queries]
-
-
-def assert_matches_oracle(results, expected: list[int], top_k) -> None:
-    """Full rankings hold exactly the oracle's ids; a top-k cut a subset."""
-    assert results.total_matches == len(expected)
-    if top_k is None:
-        assert sorted(results.node_ids) == expected
-    else:
-        assert len(results.node_ids) == min(top_k, len(expected))
-        assert set(results.node_ids) <= set(expected)
-
-
 def standalone_counters(engine: FullTextEngine, query, top_k):
     """Cursor counters summed over the shard executors run one by one."""
     per_shard = [
@@ -145,85 +121,6 @@ def standalone_counters(engine: FullTextEngine, query, top_k):
         for executor in engine._coordinator._shard_executors
     ]
     return merge_cursor_stats(per_shard).as_extended_dict()
-
-
-# ------------------------------------------------- the equivalence cross-product
-ENTRY_POINTS = ("search", "text", "explain")
-#: The single indexes the facade runs as the one-shard case.
-ONE_INDEX_SHAPES = ("inverted", "packed", "live_index")
-CACHE_SIZES = {"uncached": None, "cached": 32}
-#: ``(shape, entry, cache_size)``: static shards per entry point, live shards
-#: through every entry point, and every single index through every one,
-#: uncached and behind a result cache.
-SHAPES = [
-    *(
-        pytest.param(shards, entry, None, id=f"{shards}-{entry}")
-        for shards in SHARD_COUNTS
-        for entry in (*ENTRY_POINTS, "live")
-    ),
-    *(
-        pytest.param(shape, "all", size, id=f"{shape}-{name}")
-        for shape in ONE_INDEX_SHAPES
-        for name, size in CACHE_SIZES.items()
-    ),
-]
-
-
-def build_index(shape, entry: str, corpus: Collection, directory):
-    if shape == "inverted":
-        return InvertedIndex(corpus)
-    if shape == "packed":
-        save_packed_index(InvertedIndex(corpus), directory / "corpus.v4")
-        return PackedInvertedIndex.open(directory / "corpus.v4")
-    if shape == "live_index":
-        return LiveIndex(corpus)
-    if entry == "live":
-        return LiveShardedIndex(corpus, shape)
-    return ShardedIndex(corpus, shape)
-
-
-def run_entry_point(engine: FullTextEngine, entry: str, queries, position, top_k):
-    """One query's results: searched as an AST, as query text (parsed and
-    classified by the facade), or with EXPLAIN ANALYZE."""
-    query = queries[position]
-    if entry == "text":
-        return engine.search(query.to_text(), top_k=top_k)
-    return engine.search(query, top_k=top_k, explain=entry == "explain")
-
-
-@pytest.mark.parametrize("position", range(len(QUERY_NAMES)), ids=QUERY_NAMES)
-@pytest.mark.parametrize(("shape", "entry", "cache_size"), SHAPES)
-def test_every_shape_equals_the_oracle_and_unsharded(
-    corpus, queries, oracle, unsharded, tmp_path, shape, entry, cache_size, position
-):
-    index = build_index(shape, entry, corpus, tmp_path)
-    engine = FullTextEngine(index, scoring="tfidf", cache_size=cache_size)
-    try:
-        for entry_point in (entry,) if entry in ENTRY_POINTS else ENTRY_POINTS:
-            for top_k in TOP_KS:
-                results = run_entry_point(
-                    engine, entry_point, queries, position, top_k
-                )
-                assert not shard_threads()
-                assert_matches_oracle(results, oracle[position], top_k)
-                assert answer(results) == unsharded[position, top_k]
-                expected_counters = standalone_counters(
-                    engine, queries[position], top_k
-                )
-                if results.metadata["cache"] != "hit":
-                    # A hit replays the counters of the wider evaluation
-                    # that filled the entry.
-                    assert counters(results) == expected_counters
-                if entry_point == "explain":
-                    explained = results.metadata["explain"]
-                    assert "workers" not in explained
-                    assert len(explained["shards"]) == engine.num_shards
-                    assert explained["cursor_totals"] == expected_counters
-    finally:
-        engine.close()
-        if shape == "packed":
-            index.close()
-    assert not shard_threads()
 
 
 @pytest.mark.parametrize("max_workers", (None, 1, 2, 8))

@@ -1,12 +1,11 @@
 """Packed v4 indexes answer queries byte-identically to in-memory indexes.
 
-The tentpole contract of the mmap-scatter PR: for every language fragment
-(BOOL / PPRED / NPRED), both access modes, every scoring model and both
-unbounded and top-k execution, an :class:`Executor` over a
-:class:`PackedInvertedIndex` (mmap-backed, zero-copy) returns exactly the
-node ids, bit-identical scores, the same ranking order and the same cursor
-statistics as an :class:`Executor` over the in-memory index it was spilled
-from.
+EXPLAIN ANALYZE over a :class:`PackedInvertedIndex` (mmap-backed,
+zero-copy) reports the in-memory index's ids, scores, operator tree and
+per-cursor counts in both access modes, and the packed statistics and
+surface equal the in-memory ones.  Ids, scores and order against the
+calculus, for every scoring model and a top-k cut, are the ``packed``
+shapes of ``tests/equivalence``.
 """
 
 from __future__ import annotations
@@ -75,28 +74,6 @@ def _executors(indexes, scoring_name, access_mode):
             Executor(index, registry, scoring, access_mode=access_mode)
         )
     return executors
-
-
-@pytest.mark.parametrize("access_mode", ["paper", "fast"])
-@pytest.mark.parametrize("scoring_name", ["none", "tfidf", "probabilistic"])
-@pytest.mark.parametrize("query_text", QUERIES)
-def test_packed_executor_is_byte_identical(
-    indexes, query_text, scoring_name, access_mode
-):
-    reference, packed = _executors(indexes, scoring_name, access_mode)
-    query = parse_query(query_text).node
-    for top_k in (None, 3):
-        expected = reference.execute(query, top_k=top_k)
-        actual = packed.execute(query, top_k=top_k)
-        assert actual.node_ids == expected.node_ids
-        assert actual.ranked() == expected.ranked()  # exact float equality
-        assert actual.language_class == expected.language_class
-        assert actual.engine == expected.engine
-        if expected.cursor_stats is not None:
-            assert (
-                actual.cursor_stats.as_extended_dict()
-                == expected.cursor_stats.as_extended_dict()
-            )
 
 
 def _without_wall_clock(payload: dict) -> dict:

@@ -1,10 +1,11 @@
-"""Commuted queries: bit-identical results and shared cache entries.
+"""Commuted queries share cache entries.
 
 The IR's promise (``'a' AND 'b'`` is the same logical plan as
-``'b' AND 'a'``) must hold at every layer that keys on it: the returned
-rankings are byte-identical, the cluster's result cache serves the second
-spelling from the first spelling's entry, and the planner memo builds one
-plan for the whole commutation class.
+``'b' AND 'a'``) must hold at every layer that keys on it: the cluster's
+result cache serves the second spelling from the first spelling's entry,
+and the planner memo builds one plan for the whole commutation class.
+Commuted spellings returning the reference ranking is the ``optimizer``
+shape of ``tests/equivalence``.
 """
 
 from __future__ import annotations
@@ -26,20 +27,6 @@ def ranking(results):
 
 
 OPTIMIZERS = ["off", "on"]
-
-
-@pytest.mark.parametrize("optimizer", OPTIMIZERS)
-def test_commuted_queries_return_bit_identical_rankings(
-    small_synthetic, optimizer
-):
-    engine = FullTextEngine.from_collection(
-        small_synthetic, scoring="tfidf", access_mode="fast", optimizer=optimizer
-    )
-    reference = ranking(engine.search(BASE))
-    assert reference  # the planted tokens co-occur
-    for variant in COMMUTED:
-        assert ranking(engine.search(variant)) == reference
-    engine.close()
 
 
 @pytest.mark.parametrize("optimizer", OPTIMIZERS)

@@ -8,8 +8,9 @@ updates and deletes while serving queries, by composing:
   segments + tombstones + compaction) for the in-memory state, and
 * optionally -- when built with a ``directory`` -- a durability layer:
   every mutation is appended to a :class:`~repro.segments.wal.WriteAheadLog`
-  *before* it is applied, sealed segments are persisted as immutable v3
-  files (:func:`repro.index.storage.save_segment`), and an atomically
+  *before* it is applied, sealed segments are persisted as immutable
+  packed v4 files (v3 JSON segment files of older directories still
+  restore), and an atomically
   replaced ``MANIFEST.json`` records which segment files and tombstones are
   current plus the highest WAL sequence number they cover.
 
@@ -40,13 +41,11 @@ from repro.index.packed import (
     write_packed_segment,
 )
 from repro.index.storage import (
-    DEFAULT_COMPRESSLEVEL,
     PACKED_SEGMENT_VERSION,
     SEGMENT_FORMAT_VERSION,
     _node_from_dict,
     _node_to_dict,
     load_segment,
-    save_segment,
 )
 from repro.segments.manager import (
     DEFAULT_COMPACTION_FANOUT,
@@ -63,13 +62,6 @@ from repro.segments.wal import DEFAULT_SYNC_EVERY, WriteAheadLog
 MANIFEST_NAME = "MANIFEST.json"
 WAL_NAME = "wal.jsonl"
 SEGMENT_DIR = "segments"
-
-#: On-disk layouts for sealed segment files.  ``"packed"`` (the default for
-#: new seals) writes the binary v4 format and restores zero-copy via mmap;
-#: ``"json"`` keeps the gzip'd v3 JSON documents.  Restore sniffs each file,
-#: so a directory may mix both (e.g. after changing the setting).
-SEGMENT_FORMATS = ("packed", "json")
-
 
 def _fsync_path(path: Path) -> None:
     """fsync a file or directory by path (directory entries need it too)."""
@@ -98,14 +90,7 @@ class LiveIndex:
         sync_every: int = DEFAULT_SYNC_EVERY,
         auto_compact: bool = False,
         compaction_interval: float = 0.05,
-        segment_format: str = "packed",
     ) -> None:
-        if segment_format not in SEGMENT_FORMATS:
-            raise StorageError(
-                f"unknown segment_format {segment_format!r} "
-                f"(choose from {SEGMENT_FORMATS})"
-            )
-        self._segment_format = segment_format
         self.directory = Path(directory) if directory is not None else None
         self._wal: WriteAheadLog | None = None
         self._durable_seq = 0
@@ -392,8 +377,9 @@ class LiveIndex:
             self._wal.append(record)
 
     def _segment_path(self, generation: int) -> Path:
-        suffix = ".seg" if self._segment_format == "packed" else ".json.gz"
-        return self.directory / SEGMENT_DIR / f"seg-{generation:08d}{suffix}"
+        """Where a new seal of ``generation`` goes: every seal writes packed
+        v4; restore still reads v3 JSON files a directory may hold."""
+        return self.directory / SEGMENT_DIR / f"seg-{generation:08d}.seg"
 
     def _handle_seal(self, segment: SealedSegment) -> None:
         # Called by the manager with its lock held and the memtable empty,
@@ -426,22 +412,14 @@ class LiveIndex:
 
     def _persist_segment(self, segment: SealedSegment) -> None:
         path = self._segment_path(segment.generation)
-        if self._segment_format == "packed":
-            write_packed_segment(
-                path,
-                segment.data.docs,
-                segment.data.lists,
-                segment.data.any_list,
-                generation=segment.generation,
-                name=self.collection.name,
-            )
-        else:
-            save_segment(
-                list(segment.data.documents()),
-                path,
-                generation=segment.generation,
-                compresslevel=DEFAULT_COMPRESSLEVEL,
-            )
+        write_packed_segment(
+            path,
+            segment.data.docs,
+            segment.data.lists,
+            segment.data.any_list,
+            generation=segment.generation,
+            name=self.collection.name,
+        )
         # The WAL is truncated once a seal checkpoint completes, making this
         # file the *only* durable copy of its documents -- so it (and its
         # directory entry) must reach stable storage before that happens.
@@ -453,14 +431,9 @@ class LiveIndex:
     def _write_manifest(self) -> None:
         import json
 
-        version = (
-            PACKED_SEGMENT_VERSION
-            if self._segment_format == "packed"
-            else SEGMENT_FORMAT_VERSION
-        )
         manifest = {
             "format": "repro-manifest",
-            "version": version,
+            "version": PACKED_SEGMENT_VERSION,
             "applied_seq": self._durable_seq,
             "next_node_id": self._manager.next_node_id(),
             "segments": [

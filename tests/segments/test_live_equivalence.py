@@ -3,8 +3,10 @@
 Acceptance test of the live-indexing subsystem: after *any* interleaving of
 add / update / delete / flush / compact, a live index returns results
 identical to a single-shot index freshly built from the surviving documents
--- node ids exactly, scores to 1e-9 -- for BOOL / PPRED / NPRED queries,
-both cursor access modes, both scorers, at shard counts {1, 4}.
+-- node ids exactly, scores to 1e-9 -- for queries drawn by the
+equivalence harness's generator, both cursor access modes, both scorers, at
+shard counts {1, 4}.  Each index shape against the calculus is
+``tests/equivalence``.
 
 Two layers, mirroring the cluster equivalence suite:
 
@@ -19,9 +21,10 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.bench.workload import workload_queries
 from repro.core.engine import FullTextEngine
 from repro.corpus import Collection
+
+from equivalence.generator import make_queries
 
 #: Tokens every document draws from; "alpha"/"beta"/"gamma" are the planted
 #: query tokens of the workload generator.
@@ -36,25 +39,9 @@ BASE_TEXTS = [
     "delta beta epsilon epsilon",
 ]
 
-#: Surface queries swept with engine="auto" (BOOL, BOOL+NOT, DIST, COMP).
-SURFACE_QUERIES = [
-    ("'alpha' AND 'beta'", "auto"),
-    ("'alpha' OR 'gamma'", "auto"),
-    ("'beta' AND NOT 'zeta'", "auto"),
-    ("dist('alpha', 'beta', 2)", "dist"),
-    (
-        "SOME p1 SOME p2 (p1 HAS 'alpha' AND p2 HAS 'gamma' AND ordered(p1, p2))",
-        "comp",
-    ),
-]
-
-#: (workload series, forced engine) covering the complexity hierarchy.
-ENGINE_SERIES = [
-    ("BOOL", "bool"),
-    ("POSITIVE", "ppred"),
-    ("POSITIVE", "npred"),
-    ("NEGATIVE", "npred"),
-]
+#: Queries from the harness generator over this suite's tokens (BOOL,
+#: dist, blocks with repeated and shadowed variables, COMP).
+QUERIES = make_queries(7, 10, tokens=TOKENS[:4])
 
 #: The deterministic op script: every mutation class against every segment
 #: location (memtable-resident, sealed, already-updated), with maintenance
@@ -107,10 +94,9 @@ def rebuilt_reference(live: FullTextEngine, shards, scoring, access_mode):
     )
 
 
-def assert_equivalent(live: FullTextEngine, reference: FullTextEngine, query,
-                      language="auto", engine="auto"):
-    expected = reference.search(query, language=language, engine=engine)
-    got = live.search(query, language=language, engine=engine)
+def assert_equivalent(live: FullTextEngine, reference: FullTextEngine, query):
+    expected = reference.search(query)
+    got = live.search(query)
     assert got.node_ids == expected.node_ids, query
     for theirs, ours in zip(expected.results, got.results):
         assert ours.node_id == theirs.node_id
@@ -132,11 +118,8 @@ def test_script_equivalence(shards, access_mode, scoring):
     apply_ops(live, SCRIPT)
     reference = rebuilt_reference(live, shards, scoring, access_mode)
     try:
-        for query, language in SURFACE_QUERIES:
-            assert_equivalent(live, reference, query, language)
-        workload = workload_queries(["alpha", "beta", "gamma"], 3, 2)
-        for series, engine in ENGINE_SERIES:
-            assert_equivalent(live, reference, workload[series], engine=engine)
+        for query in QUERIES:
+            assert_equivalent(live, reference, query)
     finally:
         live.close()
         reference.close()
@@ -171,8 +154,8 @@ def test_script_equivalence_is_durable(tmp_path, shards):
         Collection.from_nodes(survivors, "rebuilt"), scoring="tfidf", shards=shards
     )
     try:
-        for query, language in SURFACE_QUERIES:
-            assert_equivalent(reopened, reference, query, language)
+        for query in QUERIES:
+            assert_equivalent(reopened, reference, query)
     finally:
         reopened.close()
         reference.close()
@@ -210,8 +193,8 @@ def test_random_op_sequences_match_fresh_rebuild(ops, shards, access_mode):
     apply_ops(live, ops)
     reference = rebuilt_reference(live, shards, "tfidf", access_mode)
     try:
-        for query, language in SURFACE_QUERIES:
-            assert_equivalent(live, reference, query, language)
+        for query in QUERIES:
+            assert_equivalent(live, reference, query)
     finally:
         live.close()
         reference.close()

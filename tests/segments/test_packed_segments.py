@@ -1,11 +1,11 @@
 """Tests for packed (v4) live-index segment persistence.
 
-The live subsystem now seals segments as packed binary files by default:
-restore must mmap them zero-copy (:class:`PackedSegmentData`) instead of
+The live subsystem seals every segment as a packed binary file: restore
+must mmap them zero-copy (:class:`PackedSegmentData`) instead of
 rebuilding posting columns, queries over restored packed segments must
 equal a fresh in-memory rebuild, tombstones must survive the round trip,
-and ``segment_format="json"`` plus mixed-format directories must keep
-working for pre-v4 deployments.
+and v3 JSON directories and mixed-format directories left by pre-v4
+writers must keep restoring.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from repro.corpus.collection import Collection
 from repro.exceptions import StorageError
 from repro.index.inverted_index import InvertedIndex
 from repro.index.packed import is_packed_segment
+from repro.index.storage import save_segment
 from repro.segments import LiveIndex
 from repro.segments.sealed import PackedSegmentData, SegmentData
 
@@ -149,46 +150,49 @@ def test_compaction_unlinks_packed_files(tmp_path, texts):
     live.close()
 
 
-# ------------------------------------------------------------- json format
-def test_json_segment_format_still_works(tmp_path, texts):
-    directory = tmp_path / "idx"
-    live = LiveIndex(
-        Collection.from_texts(texts), directory=directory, segment_format="json"
+# ------------------------------------------------------------- v3 json segments
+def write_v3_directory(directory, texts) -> None:
+    """A live directory as a v3-era writer left it: one gzip'd JSON segment
+    (``save_segment(..., version=3)``) and a version-3 manifest."""
+    collection = Collection.from_texts(texts)
+    (directory / "segments").mkdir(parents=True)
+    name = "seg-00000001.json.gz"
+    save_segment(
+        list(collection), directory / "segments" / name, generation=1, version=3
     )
-    live.add_text("doc one")
-    live.flush()
-    live.close()
-    assert list(directory.glob("segments/seg-*.json.gz"))
-    assert not list(directory.glob("segments/seg-*.seg"))
-    manifest = json.loads((directory / "MANIFEST.json").read_text())
-    assert manifest["version"] == 3
+    manifest = {
+        "format": "repro-manifest",
+        "version": 3,
+        "applied_seq": 0,
+        "next_node_id": len(texts),
+        "segments": [{"file": name, "generation": 1, "tombstones": []}],
+    }
+    (directory / "MANIFEST.json").write_text(json.dumps(manifest))
 
-    reopened = LiveIndex.open(directory, segment_format="json")
+
+def test_v3_json_directory_restores(tmp_path, texts):
+    directory = tmp_path / "idx"
+    write_v3_directory(directory, texts)
+    reopened = LiveIndex.open(directory)
     restored = _restored_segment_data(reopened)
-    assert restored and all(
-        type(data) is SegmentData for data in restored
-    )
-    assert reopened.node_count() == len(texts) + 1
+    assert restored and all(type(data) is SegmentData for data in restored)
+    assert reopened.node_count() == len(texts)
     reopened.validate()
     reopened.close()
 
 
 def test_mixed_format_directory_restores_and_compacts(tmp_path, texts):
     directory = tmp_path / "idx"
-    live = LiveIndex(
-        Collection.from_texts(texts), directory=directory, segment_format="json"
-    )
-    live.flush()
-    live.close()
+    write_v3_directory(directory, texts)
 
-    # Reopen with the packed default: old json segments restore, new seals
-    # are packed, and both coexist in the manifest.
+    # New seals are packed; the old json segment restores beside them.
     mixed = LiveIndex.open(directory)
     mixed.add_text("a packed era document")
     mixed.flush()
     json_files = list(directory.glob("segments/seg-*.json.gz"))
     seg_files = list(directory.glob("segments/seg-*.seg"))
     assert json_files and seg_files
+    assert json.loads((directory / "MANIFEST.json").read_text())["version"] == 4
     mixed.close()
 
     reopened = LiveIndex.open(directory)
@@ -203,12 +207,13 @@ def test_mixed_format_directory_restores_and_compacts(tmp_path, texts):
     manifest = json.loads((directory / "MANIFEST.json").read_text())
     on_disk = {path.name for path in directory.glob("segments/seg-*")}
     assert on_disk == {record["file"] for record in manifest["segments"]}
+    assert all(name.endswith(".seg") for name in on_disk)
     reopened.close()
 
 
-def test_unknown_segment_format_is_rejected(texts):
-    with pytest.raises(StorageError, match="unknown segment_format"):
-        LiveIndex(Collection.from_texts(texts), segment_format="parquet")
+def test_the_segment_format_keyword_is_gone(texts):
+    with pytest.raises(TypeError, match="segment_format"):
+        LiveIndex(Collection.from_texts(texts), segment_format="json")
 
 
 def test_manifest_error_names_path(tmp_path, texts):

@@ -4,14 +4,15 @@ Each corpus seed names one generated corpus and its query list (the fixed
 queries, then the generated ones).  The calculus answers each (corpus,
 query) once per session; the reference engine (in-memory, paper mode,
 optimizer off) ranks it once per scoring model.  Every shape is then
-checked against both without recomputing either.
+checked against both without recomputing either.  The query lists exist
+at collection time, so each test is parametrized by query position and a
+failure names its query.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-
-import pytest
 
 from repro.core.engine import FullTextEngine
 from repro.corpus import Collection
@@ -62,15 +63,13 @@ def pairs(results) -> list[tuple[int, float]]:
     return [(result.node_id, result.score) for result in results.results]
 
 
-@pytest.fixture(scope="session")
-def cases() -> dict[int, Case]:
-    made = {}
-    for seed in CORPUS_SEEDS:
-        texts = make_texts(seed, NODES)
-        made[seed] = Case(
-            seed,
-            texts,
-            Collection.from_texts(texts),
-            fixed_queries() + make_queries(seed, GENERATED_QUERIES),
-        )
-    return made
+@functools.lru_cache(maxsize=None)
+def case(seed: int) -> Case:
+    """The corpus and queries of ``seed``, built once per session."""
+    texts = make_texts(seed, NODES)
+    return Case(
+        seed,
+        texts,
+        Collection.from_texts(texts),
+        fixed_queries() + make_queries(seed, GENERATED_QUERIES),
+    )

@@ -1,12 +1,14 @@
 """Every engine that can run a harness query answers it as the calculus does.
 
 The BOOL, PPRED and NPRED engines run in both access modes (NPRED with the
-minimal and with all cursor orderings) on every corpus.  The naive COMP
-engine runs once per (corpus, query) on the first corpus, for every query
+minimal and with all cursor orderings) on every query of every corpus.  The
+naive COMP engine runs once per query of the first corpus, for every query
 whose calculus nests at most two quantifiers (deeper ones cost it seconds).
 """
 
 from __future__ import annotations
+
+import functools
 
 import pytest
 
@@ -21,7 +23,7 @@ from repro.index.cursor import ACCESS_MODES
 from repro.languages.classify import LanguageClass, classify_query
 from repro.model import calculus as c
 
-from equivalence.conftest import CORPUS_SEEDS
+from equivalence.cases import CORPUS_SEEDS, case
 
 BOOL_CLASSES = (LanguageClass.BOOL_NONEG, LanguageClass.BOOL)
 PPRED_CLASSES = (LanguageClass.BOOL_NONEG, LanguageClass.PPRED)
@@ -54,26 +56,41 @@ def quantifier_depth(expr) -> int:
     return below + isinstance(expr, (c.Exists, c.Forall))
 
 
-@pytest.mark.parametrize("seed", CORPUS_SEEDS)
-def test_every_engine_equals_the_calculus(cases, seed):
-    case = cases[seed]
-    index = InvertedIndex(case.collection)
-    found = [
-        f"{name} on {query.to_text()}"
-        for position, query in enumerate(case.queries)
-        for name, engine in engines_for(query, index).items()
-        if engine.evaluate(query) != case.calculus(position)
-    ]
-    assert not found, "\n".join(found[:8])
+@functools.lru_cache(maxsize=None)
+def index(seed: int) -> InvertedIndex:
+    return InvertedIndex(case(seed).collection)
 
 
-def test_naive_comp_engine_equals_the_calculus(cases):
-    case = cases[CORPUS_SEEDS[0]]
-    naive = NaiveCompEngine(InvertedIndex(case.collection))
+ENGINE_CASES = [
+    pytest.param(seed, position, id=f"s{seed}-q{position:02d}")
+    for seed in CORPUS_SEEDS
+    for position in range(len(case(seed).queries))
+]
+
+#: The naive COMP engine's queries: the first corpus's, at most two
+#: quantifiers deep.
+NAIVE_CASES = [
+    pytest.param(position, id=f"q{position:02d}")
+    for position, query in enumerate(case(CORPUS_SEEDS[0]).queries)
+    if quantifier_depth(query.to_calculus_query().expr) <= 2
+]
+
+
+@pytest.mark.parametrize(("seed", "position"), ENGINE_CASES)
+def test_every_engine_equals_the_calculus(seed, position):
+    query = case(seed).queries[position]
+    expected = case(seed).calculus(position)
     found = [
-        query.to_text()
-        for position, query in enumerate(case.queries)
-        if quantifier_depth(query.to_calculus_query().expr) <= 2
-        and naive.evaluate(query) != case.calculus(position)
+        f"{name}: {answer} != calculus {expected}"
+        for name, engine in engines_for(query, index(seed)).items()
+        if (answer := engine.evaluate(query)) != expected
     ]
-    assert not found, "\n".join(found[:8])
+    assert not found, f"{query.to_text()}\n" + "\n".join(found)
+
+
+@pytest.mark.parametrize("position", NAIVE_CASES)
+def test_naive_comp_engine_equals_the_calculus(position):
+    seed = CORPUS_SEEDS[0]
+    naive = NaiveCompEngine(index(seed))
+    query = case(seed).queries[position]
+    assert naive.evaluate(query) == case(seed).calculus(position), query.to_text()

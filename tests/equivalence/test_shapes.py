@@ -1,10 +1,12 @@
 """Every product shape answers every harness query as the calculus does.
 
-For each (shape, corpus) the full ranking must hold exactly the calculus's
+For each (shape, query) the full ranking must hold exactly the calculus's
 node ids, and equal the reference shape's ids, scores and order; the
 shape's ``top_k`` cut must be the reference ranking's prefix with the full
 match count.  A cached shape answers each query a second time from its
-cache, identically.
+cache, identically.  Each shape is built once, on one corpus, and answers
+all of that corpus's queries; a forced engine is asked only the queries it
+can plan.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from repro.engine.plan import extract_plan
 from repro.exceptions import UnsupportedQueryError
 from repro.languages.classify import can_evaluate, classify_query
 
-from equivalence.conftest import CORPUS_SEEDS, pairs
+from equivalence.cases import CORPUS_SEEDS, case, pairs
 from equivalence.generator import commute
 from equivalence.shapes import SHAPES
 
@@ -70,23 +72,33 @@ def mismatches(engine, shape, case, position) -> list[str]:
 
 #: Each shape runs on one corpus; the shapes alternate between the seeds.
 SHAPE_CASES = [
-    pytest.param(shape, CORPUS_SEEDS[number % len(CORPUS_SEEDS)], id=shape.name)
+    pytest.param(shape, seed, position, id=f"{shape.name}-q{position:02d}")
     for number, shape in enumerate(SHAPES)
+    for seed in [CORPUS_SEEDS[number % len(CORPUS_SEEDS)]]
+    for position, query in enumerate(case(seed).queries)
+    if runs(shape, query)
 ]
 
 
-@pytest.mark.parametrize(("shape", "seed"), SHAPE_CASES)
-def test_shape_equals_the_calculus_and_the_reference(cases, shape, seed, tmp_path):
-    case = cases[seed]
-    engine = shape.build(case.texts, tmp_path)
-    try:
-        assert sorted(engine.collection.node_ids()) == case.collection.node_ids()
-        found = [
-            message
-            for position, query in enumerate(case.queries)
-            if runs(shape, query)
-            for message in mismatches(engine, shape, case, position)
-        ]
-    finally:
-        engine.close()
-    assert not found, "\n".join(found[:8])
+@pytest.fixture(scope="session")
+def built(tmp_path_factory):
+    """Build each shape's engine once, on its corpus; close them all at the end."""
+    engines = {}
+
+    def engine(shape, seed):
+        if shape not in engines:
+            directory = tmp_path_factory.mktemp(shape.name)
+            engines[shape] = shape.build(case(seed).texts, directory)
+        return engines[shape]
+
+    yield engine
+    for engine_ in engines.values():
+        engine_.close()
+
+
+@pytest.mark.parametrize(("shape", "seed", "position"), SHAPE_CASES)
+def test_shape_equals_the_calculus_and_the_reference(built, shape, seed, position):
+    engine = built(shape, seed)
+    assert sorted(engine.collection.node_ids()) == case(seed).collection.node_ids()
+    found = mismatches(engine, shape, case(seed), position)
+    assert not found, "\n".join(found)

@@ -136,7 +136,7 @@ class _PlanBuilder:
     # ------------------------------------------------------------- internals
     def _build_block(self, node: ast.QueryNode) -> "BlockPlan":
         block = BlockPlan()
-        self._collect(node, block, {})
+        self._collect(node, block, {}, set())
         if not block.bindings and not block.closed_conjuncts:
             raise UnsupportedQueryError(
                 "a conjunctive block needs at least one positive token "
@@ -149,26 +149,26 @@ class _PlanBuilder:
         return block
 
     def _collect(
-        self, node: ast.QueryNode, block: "BlockPlan", scope: dict[str, str]
+        self, node: ast.QueryNode, block: "BlockPlan", scope: dict, taken: set
     ) -> None:
         """Add ``node``'s conjuncts to ``block``.
 
         ``scope`` maps each position variable in scope to its block
-        variable.  A ``SOME`` whose name the block already uses (a shadowing
-        or a sibling quantifier) gets a fresh block variable, so one block
-        variable is one calculus variable.  A variable bound to a second
-        token becomes a fresh scan of that token tied to the first by
-        ``samepos``: one position holds one token.
+        variable; ``taken`` holds every block variable a ``SOME`` of this
+        block introduced, bound to a token or not.  A ``SOME`` whose name is
+        taken (a shadowing or a sibling quantifier) gets a fresh block
+        variable, so one block variable is one calculus variable.  A
+        variable bound to a second token becomes a fresh scan of that token
+        tied to the first by ``samepos``: one position holds one token.
         """
         if isinstance(node, ast.SomeQuery):
-            var = node.var
-            if var in scope.values() or var in block.variables():
-                var = self._fresh_var()
-            self._collect(node.operand, block, {**scope, node.var: var})
+            var = self._fresh_var() if node.var in taken else node.var
+            taken.add(var)
+            self._collect(node.operand, block, {**scope, node.var: var}, taken)
             return
         if isinstance(node, ast.AndQuery):
-            self._collect(node.left, block, scope)
-            self._collect(node.right, block, scope)
+            self._collect(node.left, block, scope, taken)
+            self._collect(node.right, block, scope, taken)
             return
         if isinstance(node, ast.VarHasToken):
             var = scope.get(node.var, node.var)

@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 
 from repro.core.engine import FullTextEngine
 from repro.corpus import Collection
+from repro.engine.plan import extract_plan
+from repro.exceptions import UnsupportedQueryError
 from repro.languages import ast
 from repro.model.calculus import CalculusEvaluator
 
@@ -57,6 +59,15 @@ class Case:
         if position not in rankings:
             rankings[position] = pairs(engine.search(self.queries[position]))
         return rankings[position]
+
+
+def plannable(query: ast.QueryNode) -> bool:
+    """Whether the pipelined engines (PPRED, NPRED) can plan ``query``."""
+    try:
+        extract_plan(query)
+    except UnsupportedQueryError:
+        return False
+    return True
 
 
 def pairs(results) -> list[tuple[int, float]]:

@@ -14,15 +14,18 @@ The grammar covered by :func:`draw_query`:
 * blocks: ``SOME`` over one to three position variables, positive and
   negative predicates over pairs of them, a variable bound twice (the same
   token or another one), a nested ``SOME`` that shadows a name in scope, a
-  sibling ``SOME`` that reuses a name, and closed ``AND NOT`` / ``OR``
-  conjuncts;
+  sibling ``SOME`` that reuses a name, a ``SOME q`` that only a predicate
+  reads beside a sibling ``SOME q`` that binds a token, and closed
+  ``AND NOT`` / ``OR`` conjuncts;
 * COMP: ``NOT`` under a quantifier, ``EVERY``, a negated predicate and an
   open ``OR`` of ``HAS`` atoms.
 
 Corpora are texts, so every index shape (including the live tier, which
 ingests text) holds exactly the collection the calculus reads.  About one
 text in seven repeats an earlier one: duplicate nodes tie on every score,
-which is what makes a top-k tie-break observable.
+which is what makes a top-k tie-break observable.  About one in fourteen is
+empty: a node with no positions satisfies every ``EVERY`` and every
+``NOT``, and scores with zero length.
 """
 
 from __future__ import annotations
@@ -55,7 +58,8 @@ NEGATIVE_PREDICATES = (
 
 #: Fixed queries every corpus is also checked on: the workload generator's
 #: series, the shapes that used to be slow for the naive COMP engine, and
-#: the three repeated/shadowed-variable witnesses.
+#: the repeated/shadowed-variable witnesses (a predicate-only variable
+#: beside a sibling that binds its name, in both conjunct orders).
 FIXED_QUERIES = (
     "'alpha' AND 'beta' AND 'gamma'",
     "'alpha' OR 'beta'",
@@ -80,18 +84,24 @@ FIXED_QUERIES = (
     " AND ordered(p1, p2))",
     "SOME p (p HAS 'alpha') AND SOME p SOME p2 (p HAS 'beta' AND p2 HAS 'gamma'"
     " AND distance(p, p2, 1))",
+    "SOME q (q HAS 'alpha' AND SOME p (distance(p, q, 1))) AND SOME p (p HAS 'beta')",
+    "SOME p (p HAS 'beta') AND SOME q (q HAS 'alpha' AND SOME p (distance(p, q, 1)))",
 )
 
 _PARSER = QueryParser(LanguageLevel.COMP)
 
 
 def make_texts(seed: int, nodes: int) -> list[str]:
-    """``nodes`` texts of one to three paragraphs of short sentences."""
+    """``nodes`` texts of one to three paragraphs of short sentences, some
+    repeated and some empty."""
     rng = random.Random(seed)
     texts: list[str] = []
     for _ in range(nodes):
-        if texts and rng.random() < 0.15:
+        draw = rng.random()
+        if texts and draw < 0.15:
             texts.append(rng.choice(texts))
+        elif draw < 0.22:
+            texts.append("")
         else:
             texts.append(_text(rng))
     return texts
@@ -212,8 +222,9 @@ def _predicate(rng: random.Random, names, kinds=None) -> ast.PredQuery:
 def _block(rng: random.Random, tokens, negated_predicate: bool = False) -> ast.QueryNode:
     """``SOME``-quantified conjunction of ``HAS`` atoms and predicates, with
     the variable shapes the plan builder must rename: a name bound twice, a
-    nested ``SOME`` shadowing a name in scope, and a sibling ``SOME`` that
-    reuses a name."""
+    nested ``SOME`` shadowing a name in scope, a sibling ``SOME`` that
+    reuses a name, and a ``SOME q`` that only a predicate reads beside a
+    sibling ``SOME q`` that binds it."""
     names = list(VARIABLES[: rng.randint(1, 3)])
     atoms: list[ast.QueryNode] = []
     for name in names:
@@ -232,6 +243,10 @@ def _block(rng: random.Random, tokens, negated_predicate: bool = False) -> ast.Q
         if others:
             inner.append(_predicate(rng, [shadowed, rng.choice(others)]))
         atoms.append(ast.SomeQuery(shadowed, _conjunction(inner)))
+    # Under three quantifiers the COMP engine takes seconds per search.
+    loose = len(names) < 3 and rng.random() < 0.15
+    if loose:
+        atoms.append(ast.SomeQuery("q", _predicate(rng, ["q", rng.choice(names)])))
     extra = rng.random()
     if extra < 0.1:
         atoms.append(ast.NotQuery(ast.TokenQuery(rng.choice(tokens))))
@@ -249,6 +264,9 @@ def _block(rng: random.Random, tokens, negated_predicate: bool = False) -> ast.Q
         reused = names[0]
         sibling = ast.SomeQuery(reused, ast.VarHasToken(reused, rng.choice(tokens)))
         body = ast.AndQuery(sibling, body)
+    if loose:
+        sibling = ast.SomeQuery("q", ast.VarHasToken("q", rng.choice(tokens)))
+        body = ast.AndQuery(*((sibling, body) if rng.random() < 0.5 else (body, sibling)))
     return body
 
 

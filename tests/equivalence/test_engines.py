@@ -15,15 +15,13 @@ import pytest
 from repro.engine.bool_engine import BoolEngine
 from repro.engine.naive_engine import NaiveCompEngine
 from repro.engine.npred_engine import NPredEngine
-from repro.engine.plan import extract_plan
 from repro.engine.ppred_engine import PPredEngine
-from repro.exceptions import UnsupportedQueryError
 from repro.index import InvertedIndex
 from repro.index.cursor import ACCESS_MODES
 from repro.languages.classify import LanguageClass, classify_query
 from repro.model import calculus as c
 
-from equivalence.cases import CORPUS_SEEDS, case
+from equivalence.cases import CORPUS_SEEDS, case, plannable
 
 BOOL_CLASSES = (LanguageClass.BOOL_NONEG, LanguageClass.BOOL)
 PPRED_CLASSES = (LanguageClass.BOOL_NONEG, LanguageClass.PPRED)
@@ -36,9 +34,7 @@ def engines_for(query, index):
     if language_class in BOOL_CLASSES:
         for mode in ACCESS_MODES:
             engines[f"bool-{mode}"] = BoolEngine(index, access_mode=mode)
-    try:
-        extract_plan(query)
-    except UnsupportedQueryError:
+    if not plannable(query):
         return engines
     for mode in ACCESS_MODES:
         if language_class in PPRED_CLASSES:

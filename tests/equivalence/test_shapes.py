@@ -3,8 +3,10 @@
 For each (shape, query) the full ranking must hold exactly the calculus's
 node ids, and equal the reference shape's ids, scores and order; the
 shape's ``top_k`` cut must be the reference ranking's prefix with the full
-match count.  A cached shape answers each query a second time from its
-cache, identically.  Each shape is built once, on one corpus, and answers
+match count.  Each answer that is not a cache hit reports the cursor
+counters of the shard executors run one by one, summed (one shard for a
+single index), and so does an EXPLAIN's ``cursor_totals``.  A cached shape
+answers each query a second time from its cache, identically.  Each shape is built once, on one corpus, and answers
 all of that corpus's queries; a forced engine is asked only the queries it
 can plan.
 """
@@ -13,12 +15,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cluster import merge_cursor_stats
 from repro.engine.executor import ENGINE_CLASS
-from repro.engine.plan import extract_plan
-from repro.exceptions import UnsupportedQueryError
 from repro.languages.classify import can_evaluate, classify_query
 
-from equivalence.cases import CORPUS_SEEDS, case, pairs
+from equivalence.cases import CORPUS_SEEDS, case, pairs, plannable
 from equivalence.generator import commute
 from equivalence.shapes import SHAPES
 
@@ -27,13 +28,9 @@ def runs(shape, query) -> bool:
     """A forced engine runs the queries of its class that it can plan."""
     if shape.engine == "auto":
         return True
-    if not can_evaluate(classify_query(query), ENGINE_CLASS[shape.engine]):
-        return False
-    try:
-        extract_plan(query)
-    except UnsupportedQueryError:
-        return False
-    return True
+    return can_evaluate(
+        classify_query(query), ENGINE_CLASS[shape.engine]
+    ) and plannable(query)
 
 
 def ask(engine, shape, query, top_k=None):
@@ -44,6 +41,49 @@ def ask(engine, shape, query, top_k=None):
     return engine.search(
         query, engine=shape.engine, top_k=top_k, explain=shape.entry == "explain"
     )
+
+
+def counters(stats):
+    return stats.as_extended_dict() if stats is not None else None
+
+
+def standalone_counters(engine, shape, query, top_k):
+    """Cursor counters of the shard executors run one by one on the plan
+    the coordinator ships them, summed."""
+    if shape.entry == "commuted":
+        query = commute(query)
+    coordinator = engine._coordinator
+    plan = coordinator._plan_for(query, shape.engine)
+    return counters(
+        merge_cursor_stats(
+            [
+                executor.execute(
+                    query, engine=shape.engine, top_k=top_k, plan=plan
+                ).cursor_stats
+                for executor in coordinator._shard_executors
+            ]
+        )
+    )
+
+
+def counter_mismatches(engine, shape, query, results, top_k) -> list[str]:
+    if results.metadata["cache"] == "hit":
+        # A hit replays the counters of the evaluation that filled it.
+        return []
+    if results.engine == "comp":
+        # COMP walks no cursors; running it again per shard would only
+        # repeat its cost.
+        expected = None
+    else:
+        expected = standalone_counters(engine, shape, query, top_k)
+    found = []
+    if counters(results.cursor_stats) != expected:
+        found.append(f"top-{top_k} counters {counters(results.cursor_stats)}")
+    if shape.entry == "explain" and expected is not None:
+        totals = results.metadata["explain"]["cursor_totals"]
+        if totals != expected:
+            found.append(f"top-{top_k} EXPLAIN cursor_totals {totals}")
+    return [f"{message} != shard sum {expected}" for message in found]
 
 
 def mismatches(engine, shape, case, position) -> list[str]:
@@ -63,6 +103,8 @@ def mismatches(engine, shape, case, position) -> list[str]:
         found.append(f"top-{shape.top_k} {pairs(cut)} != {expected[: shape.top_k]}")
     if cut.total_matches != len(expected_ids):
         found.append(f"top-{shape.top_k} total_matches {cut.total_matches}")
+    found += counter_mismatches(engine, shape, query, full, None)
+    found += counter_mismatches(engine, shape, query, cut, shape.top_k)
     if shape.cache_size and shape.entry != "explain":
         again = ask(engine, shape, query)
         if again.metadata["cache"] != "hit" or pairs(again) != pairs(full):
@@ -102,3 +144,12 @@ def test_shape_equals_the_calculus_and_the_reference(built, shape, seed, positio
     assert sorted(engine.collection.node_ids()) == case(seed).collection.node_ids()
     found = mismatches(engine, shape, case(seed), position)
     assert not found, "\n".join(found)
+
+
+@pytest.mark.parametrize("seed", CORPUS_SEEDS)
+def test_every_corpus_holds_an_empty_and_a_repeated_node(seed):
+    """The nodes that make ``EVERY``, ``NOT``, zero-length scoring and the
+    top-k tie-break observable are in every corpus the shapes run on."""
+    texts = case(seed).texts
+    assert "" in texts
+    assert len(set(texts)) < len(texts)

@@ -211,11 +211,6 @@ def test_mixed_format_directory_restores_and_compacts(tmp_path, texts):
     reopened.close()
 
 
-def test_the_segment_format_keyword_is_gone(texts):
-    with pytest.raises(TypeError, match="segment_format"):
-        LiveIndex(Collection.from_texts(texts), segment_format="json")
-
-
 def test_manifest_error_names_path(tmp_path, texts):
     directory = tmp_path / "idx"
     live = LiveIndex(Collection.from_texts(texts), directory=directory)

@@ -10,8 +10,8 @@ The package is organised as follows:
 * :mod:`repro.model`     -- positions, predicates, the full-text calculus (FTC)
   and algebra (FTA), and their equivalence translations;
 * :mod:`repro.languages` -- the BOOL, DIST and COMP surface languages;
-* :mod:`repro.engine`    -- the four evaluation algorithms (BOOL merge, PPRED
-  single-scan, NPRED ordering trials, naive COMP);
+* :mod:`repro.engine`    -- the evaluation algorithms (BOOL merge, PPRED
+  single-scan, NPRED ordering trials, COMP by the calculus; naive COMP for figures);
 * :mod:`repro.scoring`   -- the scoring framework (TF-IDF, probabilistic);
 * :mod:`repro.core`      -- the high-level :class:`~repro.core.engine.FullTextEngine`;
 * :mod:`repro.bench`     -- workload generation and the experiment harness

@@ -59,7 +59,9 @@ from repro.bench.reporting import render_report, shape_summary, table_to_text
 from repro.cluster.live import LiveShardedIndex, shard_directories
 from repro.cluster.partition import make_partitioner
 from repro.core.engine import FullTextEngine
+from repro.core.query import LANGUAGE_LEVELS
 from repro.corpus.loaders import load_directory, load_text_files
+from repro.engine.executor import AUTO, ENGINE_CLASS
 from repro.exceptions import ReproError
 from repro.index.inverted_index import InvertedIndex
 from repro.index.storage import load_collection, save_collection
@@ -152,12 +154,8 @@ def build_argument_parser() -> argparse.ArgumentParser:
     search_cmd = subparsers.add_parser("search", help="run a query against PATH")
     search_cmd.add_argument("path", help=_PATH_HELP)
     search_cmd.add_argument("query", help="the query text")
-    search_cmd.add_argument(
-        "--language", default="auto", choices=["auto", "bool", "dist", "comp"]
-    )
-    search_cmd.add_argument(
-        "--engine", default="auto", choices=["auto", "bool", "ppred", "npred", "comp"]
-    )
+    search_cmd.add_argument("--language", default="auto", choices=list(LANGUAGE_LEVELS))
+    search_cmd.add_argument("--engine", default=AUTO, choices=[AUTO, *ENGINE_CLASS])
     search_cmd.add_argument(
         "--scoring", default="tfidf", choices=["none", "tfidf", "probabilistic"]
     )

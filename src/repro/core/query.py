@@ -14,10 +14,10 @@ from repro.model.predicates import PredicateRegistry, default_registry
 
 #: Accepted language names for :func:`parse_query`.
 LANGUAGE_LEVELS = {
+    "auto": LanguageLevel.COMP,
     "bool": LanguageLevel.BOOL,
     "dist": LanguageLevel.DIST,
     "comp": LanguageLevel.COMP,
-    "auto": LanguageLevel.COMP,
 }
 
 

@@ -1,4 +1,5 @@
-"""Evaluation engines: BOOL merge, PPRED single-scan, NPRED ordering trials, naive COMP."""
+"""Evaluation engines: BOOL merge, PPRED single-scan, NPRED ordering trials,
+naive COMP (the figures' instrument and second oracle; COMP runs the calculus)."""
 
 from repro.engine.bool_engine import BoolEngine
 from repro.engine.executor import (

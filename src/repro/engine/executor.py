@@ -18,10 +18,10 @@ from repro.index.cursor import PAPER_MODE, CursorFactory, CursorStats, check_acc
 from repro.index.inverted_index import InvertedIndex
 from repro.languages import ast
 from repro.languages.classify import LanguageClass, can_evaluate, classify_query
+from repro.model.calculus import CalculusEvaluator
 from repro.model.predicates import PredicateRegistry, default_registry
 from repro.scoring.base import ScoringModel
 from repro.engine.bool_engine import BoolEngine
-from repro.engine.naive_engine import NaiveCompEngine
 from repro.engine.npred_engine import NPredEngine
 from repro.engine.ppred_engine import PPredEngine
 from repro.engine.topk import TopKCollector, check_top_k
@@ -213,11 +213,11 @@ class Executor:
         except UnsupportedQueryError:
             # The classifier is intentionally syntactic; if a corner case
             # slips past it (or a caller forced a pipelined engine onto a
-            # query it cannot plan), fall back to the always-applicable
-            # naive COMP engine rather than failing the search.  A partially
-            # fed collector is discarded with the failed attempt, and so is
-            # the physical plan -- COMP uses node scans, which the plan has
-            # nothing to say about.
+            # query it cannot plan), fall back to COMP -- the calculus
+            # evaluated node by node, which answers every query -- rather
+            # than failing the search.  A partially fed collector is
+            # discarded with the failed attempt, and so is the physical plan,
+            # which has nothing to say about node scans.
             if engine != AUTO and engine_name != "comp":
                 raise
             engine_name = "comp"
@@ -235,7 +235,7 @@ class Executor:
             scores = collector.scores()
             ranked = collector.ranked()
         else:
-            scores = self._score(query, node_ids, engine_name)
+            scores = self._score(query, node_ids)
             ranked = None
         explain_payload = None
         if explain:
@@ -310,8 +310,8 @@ class Executor:
         note = None
         if engine_name == "comp":
             note = (
-                "comp engine evaluates via node scans, not inverted-list "
-                "cursors; no per-cursor counts are available"
+                "comp engine evaluates the calculus node by node, not via "
+                "inverted-list cursors; no per-cursor counts are available"
             )
         return build_explain(
             query_text=query.to_text(),
@@ -377,8 +377,8 @@ class Executor:
             return engine.evaluate_with_stats(
                 query, factory=factory, observer=observer
             )
-        engine = NaiveCompEngine(index, self.registry)
-        node_ids = engine.evaluate(query)
+        evaluator = CalculusEvaluator(self.registry)
+        node_ids = evaluator.evaluate_query(query.to_calculus_query(), index.collection)
         if observer is not None:
             for node_id in node_ids:
                 observer(node_id)
@@ -406,9 +406,7 @@ class Executor:
             return statistics.document_frequency(token)
         return self._current_index().posting_list(token).document_frequency()
 
-    def _score(
-        self, query: ast.QueryNode, node_ids: list[int], engine_name: str
-    ) -> dict[int, float]:
+    def _score(self, query: ast.QueryNode, node_ids: list[int]) -> dict[int, float]:
         if self.scoring is None or not node_ids:
             return {}
         self.scoring.prepare(sorted(ast.query_tokens(query)))

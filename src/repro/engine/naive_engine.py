@@ -6,8 +6,8 @@ Lemma 2), and evaluating the algebra expression with ordinary materialising
 relational operators.  The join computes, per node, the cartesian product of
 its inputs' position tuples, which is where the
 ``O(cnodes · pos_per_cnode^{toks_Q} · (preds_Q + ops_Q + 1))`` complexity
-bound comes from; the engine makes no attempt to be clever -- that is its
-role in the experiments.
+bound comes from.  It makes no attempt to be clever: it is the instrument
+Figures 5-8 time and the tests' second oracle; search answers COMP by the calculus.
 
 When a :class:`~repro.scoring.base.ScoringModel` is supplied, per-tuple
 scores are propagated through every operator using the model's

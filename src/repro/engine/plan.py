@@ -12,7 +12,7 @@ conjuncts such as a parenthesised ``OR`` of keywords (joined at node level).
 -- a tree of :class:`BlockPlan`, :class:`UnionPlan`, :class:`DifferencePlan`
 and :class:`IntersectPlan` nodes -- and reports *why* a query falls outside
 the supported shape via :class:`~repro.exceptions.UnsupportedQueryError`
-(the executor then falls back to the naive COMP engine).
+(the executor then falls back to COMP, the calculus node by node).
 
 The mapping from a plan to an operator tree (Figure 4 of the paper) is
 :class:`~repro.engine.ppred_engine.PPredEngine`'s builder, which the NPRED

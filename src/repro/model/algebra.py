@@ -11,9 +11,9 @@ algebra expression tree and its materialising (reference) semantics:
 An algebra *query* is an expression whose result relation has zero position
 attributes (only ``CNode``); its answer is the set of node ids in the result.
 
-The materialising evaluator here is the semantics used by the naive COMP
-engine and by the equivalence tests; the optimised pipelined evaluation over
-inverted-list cursors lives in :mod:`repro.engine`.
+The materialising evaluator here runs the naive COMP engine -- the figures'
+instrument and the tests' second oracle -- and the equivalence tests; the
+pipelined evaluation over inverted-list cursors lives in :mod:`repro.engine`.
 """
 
 from __future__ import annotations

@@ -420,8 +420,8 @@ class NegatedPredicate(Predicate):
 
     This is distinct from the hand-written ``not_*`` predicates above: those
     carry NEGATIVE advance semantics, whereas a generic negation makes no
-    promise about skip regions and therefore can only be used by the naive
-    engine.
+    promise about skip regions and therefore can only be used by COMP (the
+    calculus) and the naive algebra engine.
     """
 
     def __init__(self, inner: Predicate) -> None:

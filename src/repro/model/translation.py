@@ -10,9 +10,9 @@ This module implements both directions:
   those variables (the returned variable order gives the correspondence).
 * :func:`algebra_to_calculus` / :func:`algebra_query_to_calculus` -- Lemma 1.
 
-The naive COMP engine (Section 5.4) uses the calculus→algebra direction to
-turn a parsed COMP query into an operator tree; the equivalence tests use
-both directions for round-trips against the reference evaluators.
+The naive COMP engine (Section 5.4; the figures' instrument and the tests'
+second oracle) uses the calculus→algebra direction to turn a query into an
+operator tree; the equivalence tests use both directions for round-trips.
 """
 
 from __future__ import annotations

@@ -42,6 +42,8 @@ from dataclasses import dataclass, field
 
 from repro import __version__
 from repro.core.engine import FullTextEngine
+from repro.core.query import LANGUAGE_LEVELS
+from repro.engine.executor import AUTO, ENGINE_CLASS
 from repro.exceptions import ReproError
 from repro.server.batching import (
     BatchingDispatcher,
@@ -517,10 +519,10 @@ class QueryServer:
                 f"top_k must be <= {self.config.max_top_k}, got {top_k}",
             )
         language = str(params.get("language", "auto"))
-        if language not in ("auto", "bool", "dist", "comp"):
+        if language not in LANGUAGE_LEVELS:
             raise ProtocolError(400, f"unknown language {language!r}")
-        engine_choice = str(params.get("engine", "auto"))
-        if engine_choice not in ("auto", "bool", "ppred", "npred", "comp"):
+        engine_choice = str(params.get("engine", AUTO))
+        if engine_choice not in (AUTO, *ENGINE_CLASS):
             raise ProtocolError(400, f"unknown engine {engine_choice!r}")
         timeout_ms = self._float_param(
             params, "timeout_ms", self.config.default_timeout_ms

@@ -4,10 +4,14 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.engine import FullTextEngine
+from repro.core.query import parse_query
 from repro.engine.executor import Executor
 from repro.exceptions import UnsupportedQueryError
 from repro.languages.classify import LanguageClass
 from repro.languages.parser import LanguageLevel, QueryParser
+from repro.model.algebra import AlgebraEvaluator
+from repro.model.calculus import CalculusEvaluator
 from repro.scoring import TfIdfScoring
 
 _PARSER = QueryParser(LanguageLevel.COMP)
@@ -91,3 +95,35 @@ def test_results_are_consistent_across_engines(executor):
     comp = run(executor, query, engine="comp")
     npred = run(executor, query, engine="npred")
     assert auto.node_ids == comp.node_ids == npred.node_ids
+
+
+def test_comp_answers_by_the_calculus_never_the_algebra(monkeypatch):
+    """Auto COMP, a forced ``comp`` and the fallback all skip the algebra."""
+
+    def refuse(self, expr):
+        raise AssertionError("a search evaluated the algebra")
+
+    monkeypatch.setattr(AlgebraEvaluator, "evaluate", refuse)
+    engine = FullTextEngine.from_texts(
+        ["alpha x beta", "beta alpha", "alpha y y beta", "alpha alpha", "gamma"]
+    )
+    unplannable = (
+        "SOME q (q HAS 'alpha' AND SOME p (distance(p, q, 1))) "
+        "AND SOME p (p HAS 'beta')"
+    )
+    cases = [
+        ("EVERY p (p HAS 'alpha')", "auto", LanguageClass.COMP),
+        ("SOME p (NOT p HAS 'alpha')", "auto", LanguageClass.COMP),
+        ("'alpha' AND 'beta'", "comp", LanguageClass.BOOL_NONEG),
+        (unplannable, "auto", LanguageClass.PPRED),
+    ]
+    calculus = CalculusEvaluator()
+    for text, choice, language_class in cases:
+        result = engine.search(text, engine=choice, top_k=None)
+        assert result.engine == "comp", text
+        assert result.language_class is language_class, text
+        expected = calculus.evaluate_query(
+            parse_query(text).to_calculus(), engine.collection
+        )
+        assert expected, text
+        assert sorted(r.node_id for r in result.results) == expected, text

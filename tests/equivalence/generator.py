@@ -57,9 +57,9 @@ NEGATIVE_PREDICATES = (
 )
 
 #: Fixed queries every corpus is also checked on: the workload generator's
-#: series, the shapes that used to be slow for the naive COMP engine, and
-#: the repeated/shadowed-variable witnesses (a predicate-only variable
-#: beside a sibling that binds its name, in both conjunct orders).
+#: series, ``dist`` and three-variable blocks, COMP-only shapes, and the
+#: repeated/shadowed-variable witnesses (a predicate-only variable beside a
+#: sibling that binds its name, in both conjunct orders).
 FIXED_QUERIES = (
     "'alpha' AND 'beta' AND 'gamma'",
     "'alpha' OR 'beta'",
@@ -243,8 +243,7 @@ def _block(rng: random.Random, tokens, negated_predicate: bool = False) -> ast.Q
         if others:
             inner.append(_predicate(rng, [shadowed, rng.choice(others)]))
         atoms.append(ast.SomeQuery(shadowed, _conjunction(inner)))
-    # Under three quantifiers the COMP engine takes seconds per search.
-    loose = len(names) < 3 and rng.random() < 0.15
+    loose = rng.random() < 0.15
     if loose:
         atoms.append(ast.SomeQuery("q", _predicate(rng, ["q", rng.choice(names)])))
     extra = rng.random()

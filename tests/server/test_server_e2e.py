@@ -24,7 +24,10 @@ import pytest
 import repro
 from repro.cli import main
 from repro.core.engine import FullTextEngine
+from repro.core.query import parse_query
+from repro.corpus.synthetic import DEFAULT_QUERY_TOKENS
 from repro.index.storage import load_collection, save_collection
+from repro.model.calculus import CalculusEvaluator
 from repro.server import ServerConfig
 
 from harness import RunningServer, make_engine
@@ -210,6 +213,36 @@ def test_deadline_exceeded_is_504_and_connection_survives(server_collection):
                 conn.close()
     finally:
         inner.close()
+
+
+def test_a_comp_query_is_answered_within_its_deadline(server_collection):
+    """COMP runs the calculus: the witness fits a 1 s deadline, BOOL follows."""
+    first, second = DEFAULT_QUERY_TOKENS[:2]
+    witness = (
+        f"SOME p1 SOME p2 (p1 HAS '{first}' AND p2 HAS '{second}' "
+        "AND NOT distance(p1, p2, 3))"
+    )
+    expected = CalculusEvaluator().evaluate_query(
+        parse_query(witness).to_calculus(), server_collection
+    )
+    engine = make_engine(server_collection)
+    try:
+        with RunningServer(engine, ServerConfig()) as server:
+            status, payload = server.request(
+                "POST",
+                "/search",
+                body={"q": witness, "top_k": 1000, "timeout_ms": 1000},
+            )
+            assert status == 200, payload
+            assert payload["engine"] == "comp"
+            assert sorted(row["node_id"] for row in payload["results"]) == expected
+            assert payload["total_matches"] == len(expected) > 0
+            status, payload = server.request(
+                "POST", "/search", body={"q": f"'{first}'", "timeout_ms": 1000}
+            )
+            assert status == 200, payload
+    finally:
+        engine.close()
 
 
 # ----------------------------------------------------------------- admission
